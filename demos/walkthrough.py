@@ -14,9 +14,9 @@ import argparse
 import random
 
 from balcut.cwcut import solve_bisection_cwd
-from balcut.graph import Graph, connected_components, cut_size
+from balcut.graph import Graph, cut_size
 from balcut.oracle import brute_bisection, brute_vertex_bisection
-from balcut.qexpr import eval_qexpr
+from balcut.qexpr import eval_qexpr, forest_qexpr, greedy_deletion_set
 from balcut.reductions import clique_to_vbisect
 from balcut.torso import build_trimmer, minimal_st_separators
 from balcut.vbp import solve_vertex_bisection
@@ -38,40 +38,6 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def forest_expression(g: Graph, skip):
-    """3-expression for the forest g - skip, leaves named by vertex."""
-    from balcut.qexpr import Create, Join, Rename, Union
-
-    comps = connected_components(g, within=(v for v in g.vertices if v not in skip))
-
-    def build(comp, v, parent):
-        e = Create(2, name=v)
-        for c in sorted(g.neighbors(v) & comp):
-            if c != parent:
-                e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, build(comp, c, v)))))
-        return e
-
-    expr = None
-    for comp in comps:
-        sub = build(comp, min(comp), None)
-        expr = sub if expr is None else Union(expr, sub)
-    return expr
-
-
-def smallest_deletion_set(g: Graph) -> frozenset:
-    """Smallest D with g - D acyclic, by exhaustive search (demo scale)."""
-    from itertools import combinations
-
-    verts = list(g.vertices)
-    for r in range(g.n + 1):
-        for d in combinations(verts, r):
-            keep = [v for v in verts if v not in d]
-            m = sum(1 for u, v in g.edges() if u not in d and v not in d)
-            if m == len(keep) - len(connected_components(g, within=keep)):
-                return frozenset(d)
-    raise AssertionError("unreachable")
 
 
 def main() -> None:
@@ -97,8 +63,8 @@ def main() -> None:
 
     print("\n== bisection through a deletion set and an expression ==")
     g = random_graph(9, 0.35, rng)
-    d = smallest_deletion_set(g)
-    phi = forest_expression(g, d)
+    d = greedy_deletion_set(g)
+    phi = forest_qexpr(g, d)
     print(f"  G(9, 0.35) with {g.m} edges; deleting D={sorted(d)} leaves a forest")
     print(f"  expression evaluates to {eval_qexpr(phi).graph.n} vertices, "
           f"{eval_qexpr(phi).graph.m} edges")

@@ -9,11 +9,10 @@ validators before printing anything.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from . import formats
 from .cwcut import solve_bisection_cwd
@@ -34,7 +33,7 @@ from .oracle import (
     brute_maxcut,
     brute_vertex_bisection,
 )
-from .qexpr import Create, Join, QExpression, Rename, Union
+from .qexpr import forest_qexpr, greedy_deletion_set
 from .reductions import (
     binpacking_to_forest,
     bisect_to_vbisect,
@@ -52,11 +51,6 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 
 DOT_LIMIT = 64
-
-# Worker cap from the environment; the bundled solvers run their candidate
-# scans sequentially, so today this only validates and records the value.
-worker_cap: Optional[int] = None
-
 
 class InputError(Exception):
     """Anything that should terminate with exit code 2."""
@@ -139,89 +133,6 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# deletion sets and forest expressions for the bisection solver
-# --------------------------------------------------------------------------
-
-
-def _find_cycle(g: Graph, banned: set) -> Optional[List[int]]:
-    """Vertices of some cycle in g - banned, or None if it is a forest."""
-    color: Dict[int, int] = {}
-    parent: Dict[int, Optional[int]] = {}
-    for start in g.vertices:
-        if start in banned or start in color:
-            continue
-        stack = [(start, None)]
-        parent[start] = None
-        while stack:
-            v, par = stack.pop()
-            if v in color:
-                continue
-            color[v] = 1
-            parent[v] = par
-            for w in sorted(g.neighbors(v)):
-                if w in banned or w == par:
-                    continue
-                if w in color:
-                    # back edge: walk both endpoints up to their meeting point
-                    path_v = []
-                    x: Optional[int] = v
-                    while x is not None:
-                        path_v.append(x)
-                        x = parent[x]
-                    on_v = set(path_v)
-                    cyc = []
-                    y: Optional[int] = w
-                    while y not in on_v:
-                        cyc.append(y)
-                        y = parent[y]
-                    cyc.extend(path_v[: path_v.index(y) + 1])
-                    return cyc
-                stack.append((w, v))
-    return None
-
-
-def _greedy_deletion_set(g: Graph) -> List[int]:
-    """A vertex set whose removal leaves a forest (greedy, not minimum)."""
-    removed: set = set()
-    while True:
-        cyc = _find_cycle(g, removed)
-        if cyc is None:
-            return sorted(removed)
-        # drop the cycle vertex with the most remaining neighbours
-        best = max(cyc, key=lambda v: (len(g.neighbors(v) - removed), -v))
-        removed.add(best)
-
-
-def _forest_expr(g: Graph, skip: Iterable[int]) -> QExpression:
-    """A 3-expression for g minus `skip`, which must induce a forest."""
-    skip = frozenset(skip)
-    keep = [v for v in g.vertices if v not in skip]
-    if not keep:
-        raise InputError("the deletion set leaves no vertices")
-    comps = connected_components(g, within=keep)
-    for comp in comps:
-        inside = sum(1 for u, v in g.edges() if u in comp and v in comp)
-        if inside != len(comp) - 1:
-            raise InputError(
-                "the graph minus the deletion set is not a forest; "
-                "pass --expr with a matching expression"
-            )
-
-    def build(comp, v, parent):
-        e: QExpression = Create(2, name=v)
-        for c in sorted(g.neighbors(v) & comp):
-            if c != parent and c not in skip:
-                e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, build(comp, c, v)))))
-        return e
-
-    expr: Optional[QExpression] = None
-    for comp in comps:
-        sub = build(comp, min(comp), None)
-        expr = sub if expr is None else Union(expr, sub)
-    return expr
-
-
-# --------------------------------------------------------------------------
 # solver subcommands
 # --------------------------------------------------------------------------
 
@@ -236,13 +147,11 @@ def _cmd_bisect(args) -> int:
     elif args.expr is not None:
         d_set = frozenset()
     else:
-        d_set = frozenset(_greedy_deletion_set(g))
+        d_set = frozenset(greedy_deletion_set(g))
     if args.expr is not None:
         phi = formats.parse_qexpr(_read_text(args.expr))
     else:
-        if len(d_set) == g.n:
-            raise InputError("the deletion set leaves no vertices")
-        phi = _forest_expr(g, d_set)
+        phi = forest_qexpr(g, d_set)
     bp, cut = solve_bisection_cwd(g, d_set, phi)
     if not (validate_bisection(g, bp, cut) and cut_size(g, bp) == cut):
         raise AssertionError("solver produced an answer that fails self-checks")
@@ -504,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="balcut",
         description="Exact solvers and instance generators for balanced graph partitioning.",
-        epilog="Graphs are read in PACE-style .gr format; pass `-` to read stdin. "
-        "The BK_THREADS environment variable caps solver worker threads.",
+        epilog="Graphs are read in PACE-style .gr format; pass `-` to read stdin.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -614,24 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_worker_cap() -> Optional[int]:
-    raw = os.environ.get("BK_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring BK_THREADS={raw!r} (not an integer)", file=sys.stderr)
-        return None
-    if cap < 1:
-        print(f"warning: ignoring BK_THREADS={cap} (must be positive)", file=sys.stderr)
-        return None
-    return cap
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    global worker_cap
-    worker_cap = _read_worker_cap()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

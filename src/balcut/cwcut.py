@@ -8,21 +8,24 @@ child tables.  Deleted vertices are handled outside the expression: the
 driver fixes a split (A0, B0) of the deletion set, charges edges inside the
 deletion set once up front, and the leaf case charges each expression vertex
 for its edges into the opposite deleted side.  Every entry carries the
-realized A-side vertex set, so retracing a witness is a lookup and ties
-break to the lexicographically smallest side.
+realized A side as a bitmask over expression vertices, so retracing a
+witness is a lookup and ties break to the lexicographically smallest side.
+Tables are filled in one post-order walk that holds only the tables of
+subexpressions whose parent is still to come, and only the root's is kept.
+Edge weights are not supported: the join step counts crossing pairs.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .graph import Bipartition, Graph, validate_bisection
 from .qexpr import (
     Create,
     Join,
     QExpression,
-    Rename,
     Union,
     eval_qexpr,
+    fold_qexpr,
     joins_are_full,
     normalize_qexpr,
 )
@@ -57,28 +60,45 @@ class DeletionSplit:
 
 class CutEntry(NamedTuple):
     value: int
-    a_side: FrozenSet[int]  # expression vertices (evaluation order) on side A
+    a_side: int  # bit v set iff expression vertex v (evaluation order) is on side A
 
 
-def _rank(entry: CutEntry):
-    return entry.value, tuple(sorted(entry.a_side))
+def _members(mask: int) -> List[int]:
+    """The expression vertices whose bits are set in ``mask``."""
+    return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def _put(table, key, entry) -> None:
+def _put(table: dict, key: int, value: int, mask: int) -> None:
+    """Keep the cheaper entry; on equal cost the lexicographically smaller
+    A side.  Entries competing for one key have equally large A sides, so
+    that is the side holding the lowest vertex where the two differ."""
     old = table.get(key)
-    if old is None or _rank(entry) < _rank(old):
-        table[key] = entry
+    if old is None or value < old[0]:
+        table[key] = (value, mask)
+    elif value == old[0]:
+        diff = mask ^ old[1]
+        if diff & -diff & mask:
+            table[key] = (value, mask)
+
+
+def _require_unit_edges(g: Graph) -> None:
+    if not g.is_unit_edge_weighted():
+        raise ValueError(
+            "the expression DP counts cut edges, so every edge weight must be 1;"
+            " weighted_to_unweighted (`balcut gen unweight`) reduces weighted"
+            " bisection to this case"
+        )
 
 
 @dataclass
 class CutTable:
-    """Per-subexpression cut tables, addressed by tree path from the root.
+    """The root cut table of an expression.
 
-    A path is a tuple of child indices (() is the whole expression, (0,) the
-    first child, and so on).  ``tables[path]`` holds the label-count vector
-    of that subexpression and its map from A-side count vectors to entries.
-    ``value``/``a_vertices`` answer root queries in the two-vector form,
-    checking that the vectors add up to the label class sizes.
+    ``tables[()]`` holds the label-count vector of the whole expression and
+    its map from A-side count vectors to entries; no other subexpression's
+    table is kept.  ``value``/``a_vertices`` answer root queries in the
+    two-vector form, checking that the vectors add up to the label class
+    sizes.
     """
 
     phi: QExpression
@@ -110,7 +130,7 @@ class CutTable:
     def a_vertices(self, a: Vector, b: Vector) -> FrozenSet[int]:
         """Graph vertices (of G minus the deletion set) on side A."""
         entry = self._root_entry(a, b)
-        return frozenset(self.correspondence[v] for v in entry.a_side)
+        return frozenset(self.correspondence[v] for v in _members(entry.a_side))
 
 
 def _induced_adjacency(g: Graph, keep: FrozenSet[int]) -> Dict[int, FrozenSet[int]]:
@@ -142,32 +162,32 @@ def _correspondence_by_search(lg, rest: FrozenSet[int], adj) -> Dict[int, int]:
         )
     order = sorted(h.vertices, key=lambda v: (-len(h.neighbors(v)), v))
     assigned: Dict[int, int] = {}
-    used = set()
 
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        u = order[idx]
-        for t in sorted(rest - used):
-            if len(adj[t]) != len(h.neighbors(u)):
-                continue
-            # adjacency to every already-placed vertex must match exactly
-            ok = all(
-                (tw in adj[t]) == (w in h.neighbors(u)) for w, tw in assigned.items()
-            )
-            if not ok:
-                continue
-            assigned[u] = t
-            used.add(t)
-            if extend(idx + 1):
-                return True
-            del assigned[u]
-            used.discard(t)
-        return False
+    def fits(u: int) -> List[int]:
+        # adjacency to every already-placed vertex must match exactly
+        used = set(assigned.values())
+        return [
+            t
+            for t in sorted(rest - used)
+            if len(adj[t]) == len(h.neighbors(u))
+            and all((tw in adj[t]) == (w in h.neighbors(u)) for w, tw in assigned.items())
+        ]
 
-    if not extend(0):
-        raise ValueError("expression does not evaluate to the graph minus the deletion set")
-    return dict(assigned)
+    # depth-first over placements of order[0], order[1], ...; one candidate
+    # iterator per placed depth
+    tries = [iter(fits(order[0]))]
+    while tries:
+        u = order[len(tries) - 1]
+        assigned.pop(u, None)
+        t = next(tries[-1], None)
+        if t is None:
+            tries.pop()
+            continue
+        assigned[u] = t
+        if len(tries) == len(order):
+            return dict(assigned)
+        tries.append(iter(fits(order[len(tries)])))
+    raise ValueError("expression does not evaluate to the graph minus the deletion set")
 
 
 def _match_expression(
@@ -204,14 +224,16 @@ def cut_dp(
     phi: QExpression,
     correspondence: Optional[Dict[int, int]] = None,
 ) -> CutTable:
-    """Fill every subexpression's table bottom-up.
+    """Fill the tables bottom-up and return the root's.
 
-    Requires every join of ``phi`` to be full (run ``normalize_qexpr``
-    otherwise) and ``phi`` to evaluate to G minus the deletion set, matched
-    by Create names, an explicit correspondence, or isomorphism search.
-    Edges inside the deletion set are NOT counted here (the split carries
-    them); edges leaving the deletion set are charged at the leaves.
+    Requires unit edge weights, every join of ``phi`` to be full (run
+    ``normalize_qexpr`` otherwise) and ``phi`` to evaluate to G minus the
+    deletion set, matched by Create names, an explicit correspondence, or
+    isomorphism search.  Edges inside the deletion set are NOT counted here
+    (the split carries them); edges leaving the deletion set are charged at
+    the leaves.
     """
+    _require_unit_edges(g)
     d_set = frozenset(d_set)
     if not d_set <= frozenset(g.vertices):
         raise ValueError("deletion set contains unknown vertices")
@@ -224,61 +246,55 @@ def cut_dp(
     lg = eval_qexpr(phi)
     corr = _match_expression(g, d_set, lg, correspondence)
 
+    # A count vector packs into one int, label l's count in bits
+    # [shift[l-1], shift[l-1] + width); no count exceeds the vertex total, so
+    # adding vectors never carries between fields.
     q = phi.q
-    zero = (0,) * q
-    tables: Dict[tuple, Tuple[Vector, Dict[Vector, CutEntry]]] = {}
-    counter = [0]
+    width = lg.graph.n.bit_length()
+    ones = (1 << width) - 1
+    shift = [width * label for label in range(q)]
+    vid = 0
 
-    def rec(node: QExpression, path: tuple) -> Tuple[Vector, Dict[Vector, CutEntry]]:
+    def visit(pos, node, kids):
+        nonlocal vid
         if isinstance(node, Create):
-            counter[0] += 1
-            vid = counter[0]
+            vid += 1
             gv = corr[vid]
-            counts = list(zero)
-            counts[node.label - 1] = 1
+            one = 1 << shift[node.label - 1]
             into_a = len(g.neighbors(gv) & split.b0)
             into_b = len(g.neighbors(gv) & split.a0)
-            table = {
-                tuple(counts): CutEntry(into_a, frozenset({vid})),
-                zero: CutEntry(into_b, frozenset()),
-            }
-            result = (tuple(counts), table)
-        elif isinstance(node, Union):
-            c1, t1 = rec(node.left, path + (0,))
-            c2, t2 = rec(node.right, path + (1,))
-            counts = tuple(x + y for x, y in zip(c1, c2))
-            table: Dict[Vector, CutEntry] = {}
-            for a1, e1 in t1.items():
-                for a2, e2 in t2.items():
-                    key = tuple(x + y for x, y in zip(a1, a2))
-                    _put(table, key, CutEntry(e1.value + e2.value, e1.a_side | e2.a_side))
-            result = (counts, table)
-        elif isinstance(node, Join):
-            counts, child = rec(node.child, path + (0,))
-            i, j = node.i - 1, node.j - 1
-            table = {}
-            for a, e in child.items():
-                b = tuple(n - x for n, x in zip(counts, a))
-                crossing = a[i] * b[j] + a[j] * b[i]
-                table[a] = CutEntry(e.value + crossing, e.a_side)
-            result = (counts, table)
-        else:  # Rename
-            counts, child = rec(node.child, path + (0,))
-            i, j = node.i - 1, node.j - 1
-            new_counts = list(counts)
-            new_counts[j] += new_counts[i]
-            new_counts[i] = 0
-            table = {}
-            for a, e in child.items():
-                new_a = list(a)
-                new_a[j] += new_a[i]
-                new_a[i] = 0
-                _put(table, tuple(new_a), e)
-            result = (tuple(new_counts), table)
-        tables[path] = result
-        return result
+            return one, {one: (into_a, 1 << vid), 0: (into_b, 0)}
+        if isinstance(node, Union):
+            (c1, t1), (c2, t2) = kids
+            if len(t1) > len(t2):
+                t1, t2 = t2, t1
+            pairs = list(t2.items())
+            table: dict = {}
+            for a1, (v1, m1) in t1.items():
+                for a2, (v2, m2) in pairs:
+                    _put(table, a1 + a2, v1 + v2, m1 | m2)
+            return c1 + c2, table
+        ((counts, child),) = kids
+        si, sj = shift[node.i - 1], shift[node.j - 1]
+        table = {}
+        if isinstance(node, Join):
+            ci, cj = (counts >> si) & ones, (counts >> sj) & ones
+            for a, (value, mask) in child.items():
+                ai, aj = (a >> si) & ones, (a >> sj) & ones
+                table[a] = (value + ai * (cj - aj) + aj * (ci - ai), mask)
+            return counts, table
+        step = (1 << sj) - (1 << si)  # Rename: label i's count moves to j
+        for a, (value, mask) in child.items():
+            _put(table, a + ((a >> si) & ones) * step, value, mask)
+        return counts + ((counts >> si) & ones) * step, table
 
-    rec(phi, ())
+    counts, root = fold_qexpr(phi, visit)
+
+    def unpack(packed: int) -> Vector:
+        return tuple((packed >> s) & ones for s in shift)
+
+    entries = {unpack(a): CutEntry(value, mask) for a, (value, mask) in root.items()}
+    tables = {(): (unpack(counts), entries)}
     return CutTable(phi=phi, q=q, split=split, correspondence=corr, tables=tables)
 
 
@@ -290,7 +306,9 @@ def solve_bisection_cwd(
     Tries every split of the deletion set, reads the root table at the two
     admissible A-side totals (they coincide for even n), and keeps the
     minimum cut, breaking ties toward the lexicographically smallest A.
+    Edge weights must all be 1.
     """
+    _require_unit_edges(g)
     d_set = frozenset(d_set)
     if not d_set <= frozenset(g.vertices):
         raise ValueError("deletion set contains unknown vertices")
@@ -311,7 +329,9 @@ def solve_bisection_cwd(
             if size_a not in totals:
                 continue
             cut = split.internal_cut + entry.value
-            a = split.a0 | frozenset(corr[v] for v in entry.a_side)
+            if best is not None and cut > best[2]:
+                continue
+            a = split.a0 | frozenset(corr[v] for v in _members(entry.a_side))
             rank = (cut, tuple(sorted(a)))
             if best is None or rank < best[0]:
                 best = (rank, Bipartition(a, frozenset(g.vertices) - a), cut)

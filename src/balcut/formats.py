@@ -297,32 +297,49 @@ class _QParser:
         return value, off
 
     def expr(self) -> QExpression:
-        tok, off = self.take()
-        if tok == "v":
+        """Parse one expression.  An operator whose subexpressions are still
+        being read waits on `pending`, so nesting depth is bounded by memory,
+        not by the recursion limit."""
+        pending: List[list] = []  # [keyword, i, j, offset of i, parsed children]
+        while True:
+            tok, off = self.take()
+            if tok == "join" or tok == "ren":
+                self.take("(")
+                i, ioff = self.label()
+                self.take("," if tok == "join" else "->")
+                j, _ = self.label()
+                self.take(",")
+                pending.append([tok, i, j, ioff, []])
+                continue
+            if tok == "union":
+                self.take("(")
+                pending.append([tok, 0, 0, off, []])
+                continue
+            if tok != "v":
+                self.error(f"expected an expression, got {tok!r}", off)
             self.take("(")
             i, _ = self.label()
             self.take(")")
-            return Create(i)
-        if tok == "join" or tok == "ren":
-            self.take("(")
-            i, ioff = self.label()
-            self.take("," if tok == "join" else "->")
-            j, _ = self.label()
-            self.take(",")
-            child = self.expr()
-            self.take(")")
-            try:
-                return Join(i, j, child) if tok == "join" else Rename(i, j, child)
-            except ValueError as exc:
-                self.error(str(exc), ioff)
-        if tok == "union":
-            self.take("(")
-            left = self.expr()
-            self.take(",")
-            right = self.expr()
-            self.take(")")
-            return Union(left, right)
-        self.error(f"expected an expression, got {tok!r}", off)
+            node: QExpression = Create(i)
+            # hand the finished subexpression up, closing every operator it
+            # completes; a union still missing its right side reads on
+            while pending:
+                tok, i, j, ioff, kids = pending[-1]
+                kids.append(node)
+                if tok == "union" and len(kids) == 1:
+                    self.take(",")
+                    break
+                self.take(")")
+                pending.pop()
+                if tok == "union":
+                    node = Union(kids[0], kids[1])
+                    continue
+                try:
+                    node = Join(i, j, node) if tok == "join" else Rename(i, j, node)
+                except ValueError as exc:
+                    self.error(str(exc), ioff)
+            else:
+                return node
 
 
 def parse_qexpr(text: str) -> QExpression:
@@ -337,7 +354,8 @@ def parse_qexpr(text: str) -> QExpression:
 
 
 def emit_qexpr(expr: QExpression) -> str:
-    """The concrete syntax of an expression (repr already is the grammar)."""
+    """The concrete syntax of an expression (repr already is the grammar,
+    written by an iterative walk, so any depth works)."""
     return repr(expr)
 
 

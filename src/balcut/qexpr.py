@@ -9,29 +9,47 @@ produces the same labeled graph.
 Normalization keeps the value while making every surviving Join *full*: at
 the moment it is applied, no edge between its two label classes exists yet.
 The rewrite only ever drops operators, never adds them.
+
+Every pass over an expression goes through one explicit-stack post-order
+walk (`postorder` / `fold_qexpr`), so nesting depth is bounded by memory,
+not by the interpreter's recursion limit.  The module also builds the
+3-expressions of forests (`forest_qexpr`) and picks the deletion set that
+leaves a forest (`greedy_deletion_set`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, connected_components
 
 
 class QExpression:
-    """Base class; concrete nodes below.  q = number of labels in scope."""
-
-    q: int
-
-    def size(self) -> int:
-        raise NotImplementedError
+    """Base class; concrete nodes below."""
 
     def children(self) -> Tuple["QExpression", ...]:
         raise NotImplementedError
 
+    @property
+    def q(self) -> int:
+        """Number of labels in scope: the largest label any node uses."""
+        top = 0
+        for node in postorder(self):
+            if isinstance(node, Create):
+                top = max(top, node.label)
+            elif not isinstance(node, Union):
+                top = max(top, node.i, node.j)
+        return top
 
-@dataclass(frozen=True)
+    def size(self) -> int:
+        return len(postorder(self))
+
+    def __repr__(self) -> str:
+        return _text(self)
+
+
+@dataclass(frozen=True, repr=False)
 class Create(QExpression):
     """A single fresh vertex with the given label (the •_i operator)."""
 
@@ -42,39 +60,19 @@ class Create(QExpression):
         if self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
-    @property
-    def q(self) -> int:
-        return self.label
-
-    def size(self) -> int:
-        return 1
-
     def children(self):
         return ()
 
-    def __repr__(self):
-        return f"v({self.label})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Union(QExpression):
     """Disjoint union of two expressions."""
 
     left: QExpression
     right: QExpression
 
-    @property
-    def q(self) -> int:
-        return max(self.left.q, self.right.q)
-
-    def size(self) -> int:
-        return 1 + self.left.size() + self.right.size()
-
     def children(self):
         return (self.left, self.right)
-
-    def __repr__(self):
-        return f"union({self.left!r},{self.right!r})"
 
 
 def _check_label_pair(i: int, j: int):
@@ -84,7 +82,7 @@ def _check_label_pair(i: int, j: int):
         raise ValueError(f"the two labels must differ, got ({i},{j})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Join(QExpression):
     """Add every edge between label-i and label-j vertices."""
 
@@ -95,21 +93,11 @@ class Join(QExpression):
     def __post_init__(self):
         _check_label_pair(self.i, self.j)
 
-    @property
-    def q(self) -> int:
-        return max(self.i, self.j, self.child.q)
-
-    def size(self) -> int:
-        return 1 + self.child.size()
-
     def children(self):
         return (self.child,)
 
-    def __repr__(self):
-        return f"join({self.i},{self.j},{self.child!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Rename(QExpression):
     """Give every label-i vertex label j instead."""
 
@@ -120,18 +108,67 @@ class Rename(QExpression):
     def __post_init__(self):
         _check_label_pair(self.i, self.j)
 
-    @property
-    def q(self) -> int:
-        return max(self.i, self.j, self.child.q)
-
-    def size(self) -> int:
-        return 1 + self.child.size()
-
     def children(self):
         return (self.child,)
 
-    def __repr__(self):
-        return f"ren({self.i}->{self.j},{self.child!r})"
+
+# -- the walker ----------------------------------------------------------------
+
+
+def postorder(expr: QExpression) -> List[QExpression]:
+    """Every node of ``expr``, each after its children, children left to
+    right.  A subexpression used twice is listed twice, just as evaluation
+    copies it twice.  A node's index in this list is its walk position."""
+    out: List[QExpression] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, QExpression):
+            raise TypeError(f"not an expression node: {node!r}")
+        out.append(node)
+        stack.extend(node.children())
+    out.reverse()
+    return out
+
+
+def fold_qexpr(expr: QExpression, visit: Callable[[int, QExpression, list], object]):
+    """Bottom-up fold: ``visit(position, node, child_values)`` runs for each
+    node in post-order and its return value is the node's value; returns the
+    root's.  Only values whose parent has not been visited yet are held."""
+    values: list = []
+    for pos, node in enumerate(postorder(expr)):
+        k = len(values) - len(node.children())
+        kids = values[k:]
+        del values[k:]
+        values.append(visit(pos, node, kids))
+    return values[0]
+
+
+def _text(expr: QExpression) -> str:
+    """The concrete syntax ``v(i) | join(i,j,e) | ren(i->j,e) | union(e,e)``."""
+
+    def visit(pos, node, kids):
+        # nested tuples of pieces, flattened once at the end, so no text is
+        # copied per level
+        if isinstance(node, Create):
+            return f"v({node.label})"
+        if isinstance(node, Union):
+            return ("union(", kids[0], ",", kids[1], ")")
+        op = "join({},{}," if isinstance(node, Join) else "ren({}->{},"
+        return (op.format(node.i, node.j), kids[0], ")")
+
+    out: List[str] = []
+    stack = [fold_qexpr(expr, visit)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
+
+
+# -- replay: evaluation, full-join check and normalization ---------------------
 
 
 @dataclass(frozen=True)
@@ -147,139 +184,211 @@ class LabeledGraph:
         return frozenset(v for v, lab in self.labels.items() if lab == i)
 
 
+class _Replay(NamedTuple):
+    classes: Dict[int, List[int]]  # final label -> its vertices
+    names: List[object]  # Create names in vertex order
+    edges: Dict[Tuple[int, int], int]  # vertex pair -> position of its last Join
+    dropped: set  # positions of the Joins and Renames normalization drops
+    full: bool  # no Join adds a pair that an earlier Join added
+
+
+def _merge(classes: Dict[int, List[int]], label: int, verts: List[int]) -> None:
+    """Add ``verts`` to class ``label``, moving the shorter list."""
+    cur = classes.get(label)
+    if cur is None:
+        classes[label] = verts
+    elif len(cur) >= len(verts):
+        cur.extend(verts)
+    else:
+        verts.extend(cur)
+        classes[label] = verts
+
+
+def _replay(expr: QExpression) -> _Replay:
+    """Evaluate bottom-up, holding each live subexpression's label classes.
+
+    Label classes only coarsen, so two Join pair sets that meet are nested,
+    the later one containing the earlier.  A Join is therefore redundant
+    exactly when its pair set is empty or a later Join adds one of its pairs
+    again, and a Rename exactly when its source class is empty.
+    """
+    names: List[object] = []
+    edges: Dict[Tuple[int, int], int] = {}
+    dropped: set = set()
+    full = True
+
+    def visit(pos, node, kids):
+        nonlocal full
+        if isinstance(node, Create):
+            names.append(node.name)
+            return {node.label: [len(names)]}
+        if isinstance(node, Union):
+            left, right = kids
+            for label, verts in right.items():
+                _merge(left, label, verts)
+            return left
+        (classes,) = kids
+        if isinstance(node, Join):
+            xs, ys = classes.get(node.i, ()), classes.get(node.j, ())
+            if not xs or not ys:
+                dropped.add(pos)
+            for u in xs:
+                for w in ys:
+                    e = (u, w) if u < w else (w, u)
+                    earlier = edges.get(e)
+                    if earlier is not None:
+                        dropped.add(earlier)
+                        full = False
+                    edges[e] = pos
+        else:
+            src = classes.pop(node.i, None)
+            if src is None:
+                dropped.add(pos)
+            else:
+                _merge(classes, node.j, src)
+        return classes
+
+    classes = fold_qexpr(expr, visit)
+    return _Replay(classes, names, edges, dropped, full)
+
+
 def eval_qexpr(expr: QExpression, q: Optional[int] = None) -> LabeledGraph:
     """Evaluate to the labeled graph; with q given, reject labels above q."""
     if q is not None and expr.q > q:
         raise ValueError(f"expression uses label {expr.q} but q={q}")
-
-    labels: Dict[int, int] = {}
-    names: Dict[int, object] = {}
-    edges: set = set()
-    counter = [0]
-
-    def rec(node: QExpression) -> List[int]:
-        if isinstance(node, Create):
-            counter[0] += 1
-            v = counter[0]
-            labels[v] = node.label
-            names[v] = node.name
-            return [v]
-        if isinstance(node, Union):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, (Join, Rename)):
-            verts = rec(node.child)
-            if isinstance(node, Join):
-                left = [v for v in verts if labels[v] == node.i]
-                right = [v for v in verts if labels[v] == node.j]
-                for u in left:
-                    for w in right:
-                        edges.add((u, w) if u < w else (w, u))
-            else:
-                for v in verts:
-                    if labels[v] == node.i:
-                        labels[v] = node.j
-            return verts
-        raise TypeError(f"not an expression node: {node!r}")
-
-    verts = rec(expr)
-    g = Graph(len(verts), sorted(edges))
-    return LabeledGraph(g, labels, names)
+    r = _replay(expr)
+    label_of = {v: label for label, verts in r.classes.items() for v in verts}
+    n = len(r.names)
+    g = Graph(n, sorted(r.edges))
+    return LabeledGraph(
+        g,
+        {v: label_of[v] for v in range(1, n + 1)},
+        {v: name for v, name in enumerate(r.names, start=1)},
+    )
 
 
 def normalize_qexpr(expr: QExpression) -> QExpression:
     """Equivalent expression, never longer, in which every Join is full.
 
-    Replay the expression once to learn, for each Join occurrence, exactly
-    which vertex pairs its two classes span, and for each Rename whether its
-    source class is empty.  Label classes only ever coarsen, so two Join
-    pair-sets that meet are nested; walking top-down and keeping a Join only
-    when it contributes a pair no kept ancestor covers therefore removes all
-    redundancy, and what remains is exactly full.  Empty-source Renames are
-    dropped as no-ops.
+    One replay marks the redundant Joins and the empty-source Renames; the
+    rebuild drops exactly those.  Any two surviving Joins then have disjoint
+    pair sets, so each is full when applied.
     """
-    pair_sets: Dict[tuple, frozenset] = {}
-    empty_rename: Dict[tuple, bool] = {}
-    labels: Dict[int, int] = {}
-    counter = [0]
+    dropped = _replay(expr).dropped
 
-    def replay(node: QExpression, path: tuple) -> List[int]:
-        if isinstance(node, Create):
-            counter[0] += 1
-            labels[counter[0]] = node.label
-            return [counter[0]]
-        if isinstance(node, Union):
-            return replay(node.left, path + (0,)) + replay(node.right, path + (1,))
-        verts = replay(node.child, path + (0,))
-        if isinstance(node, Join):
-            left = [v for v in verts if labels[v] == node.i]
-            right = [v for v in verts if labels[v] == node.j]
-            pair_sets[path] = frozenset(
-                (u, w) if u < w else (w, u) for u in left for w in right
-            )
-        elif isinstance(node, Rename):
-            src = [v for v in verts if labels[v] == node.i]
-            empty_rename[path] = not src
-            for v in src:
-                labels[v] = node.j
-        return verts
-
-    replay(expr, ())
-
-    def rebuild(node: QExpression, path: tuple, covered: frozenset) -> QExpression:
+    def rebuild(pos, node, kids):
+        if pos in dropped:
+            return kids[0]
         if isinstance(node, Create):
             return node
         if isinstance(node, Union):
-            return Union(
-                rebuild(node.left, path + (0,), covered),
-                rebuild(node.right, path + (1,), covered),
-            )
-        if isinstance(node, Join):
-            pairs = pair_sets[path]
-            if pairs <= covered:
-                return rebuild(node.child, path + (0,), covered)
-            return Join(node.i, node.j, rebuild(node.child, path + (0,), covered | pairs))
-        if isinstance(node, Rename):
-            if empty_rename[path]:
-                return rebuild(node.child, path + (0,), covered)
-            return Rename(node.i, node.j, rebuild(node.child, path + (0,), covered))
-        raise TypeError(f"not an expression node: {node!r}")
+            return Union(kids[0], kids[1])
+        return type(node)(node.i, node.j, kids[0])
 
-    return rebuild(expr, (), frozenset())
+    return fold_qexpr(expr, rebuild)
 
 
 def joins_are_full(expr: QExpression) -> bool:
     """Replay check: does every Join apply to classes with no edge between
     them yet?  Used by tests and the bisection DP precondition."""
-    ok = [True]
-    labels: Dict[int, int] = {}
-    edges: set = set()
-    counter = [0]
+    return _replay(expr).full
 
-    def rec(node: QExpression) -> List[int]:
-        if isinstance(node, Create):
-            counter[0] += 1
-            labels[counter[0]] = node.label
-            return [counter[0]]
-        if isinstance(node, Union):
-            return rec(node.left) + rec(node.right)
-        verts = rec(node.child)
-        if isinstance(node, Join):
-            left = [v for v in verts if labels[v] == node.i]
-            right = [v for v in verts if labels[v] == node.j]
-            for u in left:
-                for w in right:
-                    e = (u, w) if u < w else (w, u)
-                    if e in edges:
-                        ok[0] = False
-                    edges.add(e)
-        else:
-            for v in verts:
-                if labels[v] == node.i:
-                    labels[v] = node.j
-        return verts
 
-    rec(expr)
-    return ok[0]
+# -- forests: expressions and deletion sets --------------------------------------
+
+
+def _tree_qexpr(g: Graph, root: int, keep: frozenset) -> QExpression:
+    """3-expression of the tree of g[keep] that contains ``root``."""
+    # breadth-first, so every vertex comes after its parent
+    kids: Dict[int, List[int]] = {}
+    order = [root]
+    seen = {root}
+    for v in order:
+        kids[v] = [c for c in sorted(g.neighbors(v) & keep) if c not in seen]
+        seen.update(kids[v])
+        order.extend(kids[v])
+    # invariant: subtree root carries label 2, every other vertex label 1
+    built: Dict[int, QExpression] = {}
+    for v in reversed(order):
+        e: QExpression = Create(2, name=v)
+        for c in kids[v]:
+            e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, built.pop(c)))))
+        built[v] = e
+    return built[root]
+
+
+def forest_qexpr(g: Graph, skip: Iterable[int] = ()) -> QExpression:
+    """A 3-expression for g minus ``skip``, which must induce a forest.
+
+    Each tree is rooted at its smallest vertex, children are added in
+    increasing order, and the trees are joined by Union in order of their
+    smallest vertex.  Create leaves are named with g's vertex ids.
+    """
+    skip = frozenset(skip)
+    keep = frozenset(v for v in g.vertices if v not in skip)
+    if not keep:
+        raise ValueError("the deletion set leaves no vertices")
+    comps = connected_components(g, within=keep)
+    inside = sum(1 for u, v in g.edges() if u in keep and v in keep)
+    if inside != len(keep) - len(comps):
+        raise ValueError(
+            "the graph minus the deletion set is not a forest; "
+            "pass an expression for it (--expr on the command line)"
+        )
+    expr: Optional[QExpression] = None
+    for comp in comps:
+        tree = _tree_qexpr(g, min(comp), comp)
+        expr = tree if expr is None else Union(expr, tree)
+    return expr
+
+
+def _find_cycle(g: Graph, banned: set) -> Optional[List[int]]:
+    """Vertices of some cycle in g - banned, or None if it is a forest."""
+    color: Dict[int, int] = {}
+    parent: Dict[int, Optional[int]] = {}
+    for start in g.vertices:
+        if start in banned or start in color:
+            continue
+        stack = [(start, None)]
+        parent[start] = None
+        while stack:
+            v, par = stack.pop()
+            if v in color:
+                continue
+            color[v] = 1
+            parent[v] = par
+            for w in sorted(g.neighbors(v)):
+                if w in banned or w == par:
+                    continue
+                if w in color:
+                    # back edge: walk both endpoints up to their meeting point
+                    path_v = []
+                    x: Optional[int] = v
+                    while x is not None:
+                        path_v.append(x)
+                        x = parent[x]
+                    on_v = set(path_v)
+                    cyc = []
+                    y: Optional[int] = w
+                    while y not in on_v:
+                        cyc.append(y)
+                        y = parent[y]
+                    cyc.extend(path_v[: path_v.index(y) + 1])
+                    return cyc
+                stack.append((w, v))
+    return None
+
+
+def greedy_deletion_set(g: Graph) -> List[int]:
+    """A vertex set whose removal leaves a forest (greedy, not minimum)."""
+    removed: set = set()
+    while True:
+        cyc = _find_cycle(g, removed)
+        if cyc is None:
+            return sorted(removed)
+        # drop the cycle vertex with the most remaining neighbours
+        best = max(cyc, key=lambda v: (len(g.neighbors(v) - removed), -v))
+        removed.add(best)
 
 
 # -- builders for families of known cliquewidth ----------------------------
@@ -306,27 +415,6 @@ def _path_expr(n: int) -> QExpression:
     return e
 
 
-def _tree_expr(tree: Graph, root: Optional[int] = None) -> QExpression:
-    from .graph import connected_components
-
-    if tree.n < 1:
-        raise ValueError("tree must have at least one vertex")
-    if tree.m != tree.n - 1 or len(connected_components(tree)) != 1:
-        raise ValueError("not a tree (need connected with n-1 edges)")
-    root = min(tree.vertices) if root is None else root
-
-    # invariant: subtree root carries label 2, every other vertex label 1
-    def build(v: int, parent: Optional[int]) -> QExpression:
-        e: QExpression = Create(2, name=v)
-        for c in sorted(tree.neighbors(v)):
-            if c == parent:
-                continue
-            e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, build(c, v)))))
-        return e
-
-    return build(root, None)
-
-
 def family_qexpr(kind: str, spec) -> QExpression:
     """Ready-made expressions: 'clique' and 'path' take n, 'tree' takes a
     tree Graph (optionally (Graph, root)).  Create leaves are named with the
@@ -336,7 +424,13 @@ def family_qexpr(kind: str, spec) -> QExpression:
     if kind == "path":
         return _path_expr(int(spec))
     if kind == "tree":
-        if isinstance(spec, tuple):
-            return _tree_expr(spec[0], spec[1])
-        return _tree_expr(spec)
+        tree, root = spec if isinstance(spec, tuple) else (spec, None)
+        if tree.n < 1:
+            raise ValueError("tree must have at least one vertex")
+        if tree.m != tree.n - 1 or len(connected_components(tree)) != 1:
+            raise ValueError("not a tree (need connected with n-1 edges)")
+        root = min(tree.vertices) if root is None else root
+        if root not in tree.vertices:
+            raise ValueError(f"root {root} is not a vertex of the tree")
+        return _tree_qexpr(tree, root, frozenset(tree.vertices))
     raise ValueError(f"unknown family {kind!r} (want clique, path or tree)")

@@ -129,32 +129,6 @@ def minimum_feedback_vertex_set(g: Graph) -> frozenset:
     raise AssertionError("unreachable")
 
 
-def spanning_forest_qexpr(g: Graph, skip=frozenset()):
-    """Tree expression per component of g - skip, folded with disjoint union.
-    Create leaves are named with g's own vertex ids; g - skip must be a
-    forest."""
-    from balcut.graph import connected_components
-    from balcut.qexpr import Create, Join, Rename, Union
-
-    skip = frozenset(skip)
-    comps = connected_components(g, within=(v for v in g.vertices if v not in skip))
-    if not comps:
-        raise ValueError("nothing left outside the skipped set")
-
-    def build(comp, v, parent):
-        e = Create(2, name=v)
-        for c in sorted(g.neighbors(v) & comp):
-            if c != parent:
-                e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, build(comp, c, v)))))
-        return e
-
-    expr = None
-    for comp in comps:
-        sub = build(comp, min(comp), None)
-        expr = sub if expr is None else Union(expr, sub)
-    return expr
-
-
 def free_trees(n: int):
     """Every tree on n vertices, one labelled representative per isomorphism
     class (1, 1, 1, 2, 3, 6, 11, 23, 47, 106 classes for n = 1..10).

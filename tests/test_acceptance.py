@@ -33,7 +33,7 @@ from balcut.oracle import (
     brute_maxcut,
     brute_vertex_bisection,
 )
-from balcut.qexpr import family_qexpr
+from balcut.qexpr import family_qexpr, forest_qexpr
 from balcut.reductions import (
     binpacking_to_forest,
     bisect_to_vbisect,
@@ -57,7 +57,6 @@ from .conftest import (
     quotient_blocks,
     random_connected_graph,
     random_graph,
-    spanning_forest_qexpr,
 )
 from .showcase import (
     SHOWCASE_HULL,
@@ -98,7 +97,7 @@ def test_cw_expression_dp_matches_bisection_oracle():
         n = rng.randint(2, 8)
         g = random_graph(n, rng.uniform(0.2, 0.7), seed=rng.randrange(10**6))
         d = minimum_feedback_vertex_set(g)
-        bip, cut = solve_bisection_cwd(g, d, spanning_forest_qexpr(g, skip=d))
+        bip, cut = solve_bisection_cwd(g, d, forest_qexpr(g, d))
         assert validate_bisection(g, bip, cut)
         assert cut == brute_bisection(g).optimum, (sorted(g.edges()), sorted(d))
 

@@ -11,6 +11,7 @@ import pytest
 
 from balcut import cli, formats
 from balcut.graph import Graph
+from balcut.qexpr import forest_qexpr
 
 C6 = "p tw 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
 K3 = "p tw 3 3\n1 2\n1 3\n2 3\n"
@@ -59,7 +60,7 @@ def test_bisect_with_automatic_deletion_set(c6, capsys):
 
 def test_bisect_with_explicit_deletion_and_expression(c6, tmp_path, capsys):
     g = formats.parse_graph(C6)
-    expr = cli._forest_expr(g, {1})
+    expr = forest_qexpr(g, {1})
     ef = tmp_path / "c6.qe"
     ef.write_text(formats.emit_qexpr(expr) + "\n")
     code, out, _ = run_cli(
@@ -67,6 +68,32 @@ def test_bisect_with_explicit_deletion_and_expression(c6, tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "cut 2"
+
+
+def test_bisect_long_path(tmp_path, capsys):
+    n = 300
+    gf = tmp_path / "path.gr"
+    gf.write_text(f"p tw {n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    sf = tmp_path / "path.sol"
+    code, _, _ = run_cli(capsys, "bisect", "--graph", str(gf), "--output", str(sf))
+    assert code == 0
+    assert sf.read_text().splitlines()[0] == "cut 1"
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(gf), "--solution", str(sf))
+    assert code == 0
+    assert out == "valid: cut 1 across 2 parts\n"
+
+
+def test_bisect_deeply_nested_expression_file(tmp_path, capsys):
+    # 3000 no-op renames around a 10-vertex path expression
+    depth = 3000
+    gf = tmp_path / "p10.gr"
+    gf.write_text("p tw 10 9\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 10)))
+    inner = formats.emit_qexpr(forest_qexpr(formats.parse_graph(gf.read_text())))
+    ef = tmp_path / "deep.qe"
+    ef.write_text("ren(5->6," * depth + inner + ")" * depth + "\n")
+    code, out, _ = run_cli(capsys, "bisect", "--graph", str(gf), "--expr", str(ef))
+    assert code == 0
+    assert out.splitlines()[0] == "cut 1"
 
 
 def test_bisect_rejects_mismatched_expression(c6, tmp_path, capsys):
@@ -323,20 +350,6 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
-
-
-def test_bk_threads_validation(monkeypatch, tmp_path, capsys):
-    g = tmp_path / "k3.gr"
-    g.write_text(K3)
-    monkeypatch.setenv("BK_THREADS", "zebra")
-    code, _, err = run_cli(capsys, "oracle", "maxcut", "--graph", str(g))
-    assert code == 0
-    assert "ignoring BK_THREADS" in err
-    monkeypatch.setenv("BK_THREADS", "4")
-    code, _, err = run_cli(capsys, "oracle", "maxcut", "--graph", str(g))
-    assert code == 0
-    assert err == ""
-    assert cli.worker_cap == 4
 
 
 def test_stdin_pipe_between_subcommands():

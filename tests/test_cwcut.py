@@ -16,7 +16,9 @@ from balcut.qexpr import (
     Union,
     eval_qexpr,
     family_qexpr,
+    forest_qexpr,
     normalize_qexpr,
+    postorder,
 )
 
 from .conftest import (
@@ -24,7 +26,6 @@ from .conftest import (
     random_connected_graph,
     random_graph,
     random_tree,
-    spanning_forest_qexpr,
 )
 
 
@@ -147,7 +148,7 @@ def test_table_symmetry_under_side_swap():
     fvs = minimum_feedback_vertex_set(g)
     pad = [v for v in g.vertices if v not in fvs]
     d = frozenset(fvs | set(pad[: max(0, 2 - len(fvs))]))  # at least two deletions
-    phi = spanning_forest_qexpr(g, skip=d)
+    phi = forest_qexpr(g, d)
     ds = sorted(d)
     s1, s2 = {ds[0]}, set(ds[1:])
     fwd = cut_dp(g, d, DeletionSplit.from_sides(g, s1, s2), phi)
@@ -161,7 +162,7 @@ def test_table_symmetry_under_side_swap():
 def test_root_marginal_and_join_monotonicity():
     g = random_connected_graph(8, 0.35, seed=3)
     d = minimum_feedback_vertex_set(g)
-    phi = spanning_forest_qexpr(g, skip=d)
+    phi = forest_qexpr(g, d)
     split = DeletionSplit.from_sides(g, sorted(d)[: len(d) // 2], sorted(d)[len(d) // 2 :])
     table = cut_dp(g, d, split, phi)
     counts, entries = table.tables[()]
@@ -173,21 +174,31 @@ def test_root_marginal_and_join_monotonicity():
     assert len(entries) == expected
     assert all(0 <= x <= c for a in entries for x, c in zip(a, counts))
 
-    def walk(node, path):
-        yield node, path
-        for idx, ch in enumerate(node.children()):
-            yield from walk(ch, path + (idx,))
-
-    joins = [(n, p) for n, p in walk(phi, ()) if isinstance(n, Join)]
+    # a join only adds crossing edges: against the graph each side evaluates
+    # to, the table of a Join is pointwise at least its child's
+    joins = [node for node in postorder(phi) if isinstance(node, Join)]
     assert joins
-    for node, path in joins:
-        _, parent = table.tables[path]
-        _, child = table.tables[path + (0,)]
+    for node in joins:
+        tables = []
+        for sub in (node, node.child):
+            h = eval_qexpr(sub).graph
+            identity = {v: v for v in h.vertices}
+            tables.append(cut_dp(h, (), no_deletions(h), sub, identity).tables[()])
+        (counts, parent), (child_counts, child) = tables
+        assert counts == child_counts and parent.keys() == child.keys()
         for a_vec, entry in parent.items():
             assert entry.value >= child[a_vec].value
 
 
 # --------------------------------------------------- solve_bisection_cwd
+
+
+def test_edge_weights_rejected_at_entry():
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)], edge_weights={(2, 3): 5})
+    with pytest.raises(ValueError, match="edge weight"):
+        solve_bisection_cwd(g, set(), family_qexpr("path", 4))
+    with pytest.raises(ValueError, match="edge weight"):
+        cut_dp(g, frozenset(), no_deletions(g), family_qexpr("path", 4))
 
 
 def test_cycle_with_deleted_vertex():
@@ -232,7 +243,7 @@ def test_driver_normalizes_internally():
 def test_driver_deterministic():
     g = random_connected_graph(7, 0.45, seed=99)
     d = minimum_feedback_vertex_set(g)
-    phi = spanning_forest_qexpr(g, skip=d)
+    phi = forest_qexpr(g, d)
     assert solve_bisection_cwd(g, d, phi) == solve_bisection_cwd(g, d, phi)
 
 
@@ -250,7 +261,7 @@ def test_trees_match_oracle(n, seed):
 def test_random_graphs_with_deletions_match_oracle(n, seed, connected):
     g = (random_connected_graph if connected else random_graph)(n, 0.45, seed=seed)
     d = minimum_feedback_vertex_set(g)
-    phi = spanning_forest_qexpr(g, skip=d)
+    phi = forest_qexpr(g, d)
     bip, cut = solve_bisection_cwd(g, d, phi)
     assert cut == brute_bisection(g).optimum
     assert cut_size(g, bip) == cut

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcut.graph import Graph, complete_graph, path_graph, star_graph
+from balcut.formats import emit_qexpr, parse_qexpr
+from balcut.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from balcut.qexpr import (
     Create,
     Join,
@@ -14,11 +15,13 @@ from balcut.qexpr import (
     Union,
     eval_qexpr,
     family_qexpr,
+    forest_qexpr,
+    greedy_deletion_set,
     joins_are_full,
     normalize_qexpr,
 )
 
-from .conftest import random_tree
+from .conftest import random_graph, random_tree
 
 
 def k3_expr():
@@ -212,8 +215,49 @@ def test_family_tree_rejects_non_tree():
         family_qexpr("tree", Graph(3, [(1, 2), (2, 3), (1, 3)]))
     with pytest.raises(ValueError):
         family_qexpr("tree", Graph(4, [(1, 2), (3, 4)]))
+    with pytest.raises(ValueError):
+        family_qexpr("tree", (path_graph(3), 4))
 
 
 def test_family_unknown_kind():
     with pytest.raises(ValueError):
         family_qexpr("wheel", 5)
+
+
+# -- forests and deletion sets ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_deletion_set_leaves_the_forest_expression(seed):
+    g = random_graph(9, 0.35, seed)
+    d = greedy_deletion_set(g)
+    lg = eval_qexpr(forest_qexpr(g, d))
+    keep = [v for v in g.vertices if v not in d]
+    assert sorted(lg.names.values()) == keep
+    got = sorted(tuple(sorted((lg.names[u], lg.names[w]))) for u, w in lg.graph.edges())
+    assert got == [(u, w) for u, w in g.edges() if u not in d and w not in d]
+
+
+def test_forest_qexpr_rejects_cycles_and_empty_remainders():
+    with pytest.raises(ValueError, match="not a forest"):
+        forest_qexpr(cycle_graph(4))
+    with pytest.raises(ValueError, match="leaves no vertices"):
+        forest_qexpr(path_graph(2), {1, 2})
+    assert emit_qexpr(forest_qexpr(cycle_graph(4), {4})) == emit_qexpr(family_qexpr("tree", path_graph(3)))
+
+
+def test_deep_expression_passes_need_no_recursion():
+    # the path rooted at an end nests 4 operators per vertex, far beyond the
+    # interpreter's recursion limit; equality is compared on text because
+    # dataclass equality recurses
+    g = path_graph(2000)
+    e = forest_qexpr(g)
+    assert e.q == 3
+    assert e.size() == 1 + 5 * 1999
+    lg = eval_qexpr(e)
+    assert lg.graph == g
+    assert lg.names == {v: v for v in g.vertices}
+    assert joins_are_full(e)
+    text = emit_qexpr(e)
+    assert emit_qexpr(normalize_qexpr(e)) == text
+    assert emit_qexpr(parse_qexpr(text)) == text
