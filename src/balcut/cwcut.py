@@ -157,8 +157,10 @@ def _correspondence_by_search(lg, rest: FrozenSet[int], adj) -> Dict[int, int]:
     h = lg.graph
     if h.n > 10:
         raise ValueError(
-            "expression leaves are unnamed; isomorphism search handles at most"
-            " 10 vertices, name the Create leaves instead"
+            "expression leaves are unnamed and the isomorphism search that"
+            " matches them to the graph handles at most 10 vertices; name the"
+            " Create leaves, or run `balcut bisect` without --expr so that it"
+            " builds its own expression from a greedy deletion set"
         )
     order = sorted(h.vertices, key=lambda v: (-len(h.neighbors(v)), v))
     assigned: Dict[int, int] = {}
@@ -243,14 +245,22 @@ def cut_dp(
         raise ValueError(
             "expression has a non-full join; run normalize_qexpr on it first"
         )
-    lg = eval_qexpr(phi)
-    corr = _match_expression(g, d_set, lg, correspondence)
+    corr = _match_expression(g, d_set, eval_qexpr(phi), correspondence)
+    tables = {(): _fill(g, split, phi, corr)}
+    return CutTable(phi=phi, q=phi.q, split=split, correspondence=corr, tables=tables)
 
+
+def _fill(
+    g: Graph, split: DeletionSplit, phi: QExpression, corr: Dict[int, int]
+) -> Tuple[Vector, Dict[Vector, CutEntry]]:
+    """The root's label counts and cut table, for an expression whose joins
+    are all full and whose vertices ``corr`` maps onto G minus the deletion
+    set; the callers check both."""
     # A count vector packs into one int, label l's count in bits
     # [shift[l-1], shift[l-1] + width); no count exceeds the vertex total, so
     # adding vectors never carries between fields.
     q = phi.q
-    width = lg.graph.n.bit_length()
+    width = len(corr).bit_length()
     ones = (1 << width) - 1
     shift = [width * label for label in range(q)]
     vid = 0
@@ -293,9 +303,7 @@ def cut_dp(
     def unpack(packed: int) -> Vector:
         return tuple((packed >> s) & ones for s in shift)
 
-    entries = {unpack(a): CutEntry(value, mask) for a, (value, mask) in root.items()}
-    tables = {(): (unpack(counts), entries)}
-    return CutTable(phi=phi, q=q, split=split, correspondence=corr, tables=tables)
+    return unpack(counts), {unpack(a): CutEntry(v, m) for a, (v, m) in root.items()}
 
 
 def solve_bisection_cwd(
@@ -303,10 +311,11 @@ def solve_bisection_cwd(
 ) -> Tuple[Bipartition, int]:
     """Optimal bisection of G using an expression for G minus the deletion set.
 
-    Tries every split of the deletion set, reads the root table at the two
-    admissible A-side totals (they coincide for even n), and keeps the
-    minimum cut, breaking ties toward the lexicographically smallest A.
-    Edge weights must all be 1.
+    Normalizes and matches the expression once, then tries every split of
+    the deletion set, reads the root table at the two admissible A-side
+    totals (they coincide for even n), and keeps the minimum cut, breaking
+    ties toward the lexicographically smallest A.  Edge weights must all
+    be 1.
     """
     _require_unit_edges(g)
     d_set = frozenset(d_set)
@@ -322,8 +331,7 @@ def solve_bisection_cwd(
     for bits in range(1 << len(d_sorted)):
         a0 = frozenset(v for i, v in enumerate(d_sorted) if bits >> i & 1)
         split = DeletionSplit.from_sides(g, a0, d_set - a0)
-        table = cut_dp(g, d_set, split, phi, correspondence=corr)
-        counts, root = table.tables[()]
+        _, root = _fill(g, split, phi, corr)
         for a_vec, entry in root.items():
             size_a = len(split.a0) + sum(a_vec)
             if size_a not in totals:

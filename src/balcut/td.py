@@ -342,10 +342,7 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
     """
     n = g.n
     if n > 15:
-        raise ValueError(
-            f"exact treewidth search handles n <= 15 (got {n}); "
-            "supply a precomputed tree decomposition (.td file) instead"
-        )
+        raise ValueError(f"exact treewidth search handles n <= 15 (got {n})")
     if n == 0:
         return -1, TreeDecomposition({1: ()}, [])
 

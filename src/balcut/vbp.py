@@ -1,12 +1,15 @@
 """Minimum-weight c-component separators over nice tree decompositions.
 
-The central object is a table indexed by decomposition node, the separator
-slice inside the bag, partitions recording how the A- and B-sides meet the
-bag, a counter of finished components, and the target weight of side A.
-Tables are filled bottom-up; each entry carries a concrete witness (the
-separator and the A-side realizing the minimum), which makes retracing a
-lookup and tie-breaking reproducible: minimum weight first, then the
-lexicographically smallest separator, then the smallest A-side.
+Each decomposition node has a table keyed by the separator slice inside the
+bag, partitions recording how the A- and B-sides meet the bag, a counter of
+finished components, and the target weight of side A.  Tables are filled in
+one bottom-up fold that holds only the tables of nodes whose parent is still
+to come; synthesized forget steps then empty the root bag, and only that
+last table, keyed by (components, A-weight), is kept.  Each entry carries a
+concrete witness (the separator and the A-side realizing the minimum), which
+makes retracing a lookup and tie-breaking reproducible: minimum weight
+first, then the lexicographically smallest separator, then the smallest
+A-side.
 
 On top of the table sit the two solvers: ``min_weight_separator`` answers a
 single (c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
@@ -35,16 +38,6 @@ Partition = Tuple[FrozenSet[int], ...]
 def _canon(parts) -> Partition:
     """Canonical form of a partition: parts ordered by smallest element."""
     return tuple(sorted((frozenset(p) for p in parts), key=min))
-
-
-@dataclass(frozen=True)
-class SepKey:
-    node: int
-    s_t: FrozenSet[int]
-    p_a: Partition
-    p_b: Partition
-    c: int
-    ell: int
 
 
 class SepEntry(NamedTuple):
@@ -90,27 +83,13 @@ def _fcc(p1: Partition, p2: Partition) -> Partition:
 
 @dataclass
 class SepTable:
-    """Filled separator table plus the query point above the root.
+    """The separator table above the root: ``entries`` maps (components,
+    A-weight) to the minimum-weight entry; infeasible pairs are absent."""
 
-    ``entries`` maps every materialized key to its minimum weight and
-    witness; keys that would be infeasible are simply absent.  The nodes
-    ``final_node`` and below it (ids past the decomposition's own) are
-    synthesized forget steps that empty the root bag, so global questions
-    "is there a separator with c components and A-weight ell" are plain
-    lookups via :meth:`query`.
-    """
-
-    graph: Graph
-    ntd: NiceTreeDecomposition
-    c_max: int
-    entries: Dict[SepKey, SepEntry]
-    final_node: int
+    entries: Dict[Tuple[int, int], SepEntry]
 
     def query(self, c: int, ell: int) -> Optional[SepEntry]:
-        return self.entries.get(SepKey(self.final_node, frozenset(), (), (), c, ell))
-
-    def node_items(self, node: int):
-        return [(k, e) for k, e in self.entries.items() if k.node == node]
+        return self.entries.get((c, ell))
 
 
 def _leaf_table(g: Graph, bag: FrozenSet[int]):
@@ -226,46 +205,47 @@ def _join_tables(g: Graph, t1, t2, c_max: int):
     return table
 
 
-def sep_dp(g: Graph, ntd: NiceTreeDecomposition, c_max: int) -> SepTable:
-    """Fill the separator table bottom-up over the whole decomposition.
+def _steps(ntd: NiceTreeDecomposition):
+    """(kind, bag, child count) of every node in post-order, then one forget
+    step per root bag vertex, in vertex order, to empty the root bag."""
+    for x in ntd.postorder():
+        yield ntd.kind[x], ntd.bags[x], len(ntd.children[x])
+    bag = ntd.bags[ntd.root]
+    for v in sorted(bag):
+        bag = bag - {v}
+        yield ("forget", v), bag, 1
 
-    Entries exist for every reachable key with component counter at most
-    ``c_max``; an absent key means no separator realizes it.  After the
-    root, synthesized forget steps empty the bag so that the table ends at
-    a single node whose keys are just (c, ell) pairs.
+
+def _step(g: Graph, kind: tuple, bag: FrozenSet[int], kids: List[dict], c_max: int):
+    """The table of one step from its children's tables."""
+    if kind == LEAF:
+        return _leaf_table(g, bag)
+    if kind == JOIN:
+        return _join_tables(g, kids[0], kids[1], c_max)
+    if kind[0] == "introduce":
+        return _introduce_table(g, kids[0], kind[1])
+    return _forget_table(kids[0], kind[1], c_max)
+
+
+def sep_dp(g: Graph, ntd: NiceTreeDecomposition, c_max: int) -> SepTable:
+    """Fill the separator table bottom-up and return the one above the root.
+
+    Entries exist for every reachable (c, ell) with component counter c at
+    most ``c_max``; an absent pair means no separator realizes it.  Only
+    the tables of nodes whose parent is still to come are held.
     """
     if c_max < 0:
         raise ValueError("component counter bound must be non-negative")
     if not ntd.validate(g):
         raise ValueError("decomposition does not fit the graph")
-
-    tables: Dict[int, dict] = {}
-    for x in ntd.postorder():
-        kind = ntd.kind[x]
-        if kind == LEAF:
-            tables[x] = _leaf_table(g, ntd.bags[x])
-        elif kind == JOIN:
-            c1, c2 = ntd.children[x]
-            tables[x] = _join_tables(g, tables[c1], tables[c2], c_max)
-        elif kind[0] == "introduce":
-            tables[x] = _introduce_table(g, tables[ntd.children[x][0]], kind[1])
-        else:
-            tables[x] = _forget_table(tables[ntd.children[x][0]], kind[1], c_max)
-
-    final = tables[ntd.root]
-    virtual: Dict[int, dict] = {}
-    next_id = max(ntd.bags) + 1
-    for v in sorted(ntd.bags[ntd.root]):
-        final = _forget_table(final, v, c_max)
-        virtual[next_id] = final
-        next_id += 1
-    final_node = next_id - 1 if virtual else ntd.root
-
-    entries: Dict[SepKey, SepEntry] = {}
-    for node, tab in chain(tables.items(), virtual.items()):
-        for (s_t, p_a, p_b, c, ell), e in tab.items():
-            entries[SepKey(node, s_t, p_a, p_b, c, ell)] = e
-    return SepTable(graph=g, ntd=ntd, c_max=c_max, entries=entries, final_node=final_node)
+    live: List[dict] = []
+    for kind, bag, arity in _steps(ntd):
+        k = len(live) - arity
+        kids = live[k:]
+        del live[k:]
+        live.append(_step(g, kind, bag, kids, c_max))
+    (root,) = live
+    return SepTable({(c, ell): e for (_, _, _, c, ell), e in root.items()})
 
 
 def min_weight_separator(g: Graph, c: int, s: int) -> Optional[Separation]:

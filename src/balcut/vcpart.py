@@ -2,12 +2,12 @@
 
 Every edge touches the cover, so fixing how the cover is split across the d
 parts decides almost everything: the leftover vertices form an independent
-set whose members can be placed one by one, each caring only about how many
-of its neighbours share its part.  The solver enumerates the set partitions
-of the cover into at most d groups (dropping any that overfill a part),
-assigns the independent vertices with a minimum-cost matching under the
-remaining capacities, and keeps the cheapest combination, first enumerated
-winning ties.
+set whose members can be placed one by one, each caring only about the
+weight of its edges to neighbours outside its part.  The solver enumerates
+the set partitions of the cover into at most d groups (dropping any that
+overfill a part), assigns the independent vertices with a minimum-cost
+matching under the remaining capacities, and keeps the cheapest
+combination, first enumerated winning ties.
 """
 
 from dataclasses import dataclass
@@ -219,7 +219,7 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
 
     Enumerates cover splits and matches the independent vertices under
     the leftover capacities; the reported cut is the matching cost plus
-    the edges running between different cover groups.
+    the weight of the edges running between different cover groups.
     """
     if d < 1:
         raise ValueError("need at least one part")
@@ -229,13 +229,13 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     for cp in enumerate_cover_partitions(cover, d, g.n):
         group_of = {v: j for j, grp in enumerate(cp.groups) for v in grp}
         cover_cut = sum(
-            1
+            g.edge_weight(u, v)
             for u, v in g.edges()
             if u in group_of and v in group_of and group_of[u] != group_of[v]
         )
         groups = cp.all_groups
         rows = tuple(
-            tuple(len(g.neighbors(v)) - len(g.neighbors(v) & grp) for grp in groups)
+            tuple(sum(g.edge_weight(v, u) for u in g.neighbors(v) - grp) for grp in groups)
             for v in items
         )
         assignment, cost = min_cost_assignment(

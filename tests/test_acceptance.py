@@ -109,8 +109,8 @@ def test_cw_expression_dp_matches_bisection_oracle():
 
 def test_vertex_bisection_driver_agrees_with_oracle():
     """solve_vertex_bisection finds a c-component balanced separator within
-    budget exactly when brute force does, and every returned witness
-    revalidates.  Corpus: all connected graphs up to isomorphism on <= 5
+    budget exactly when brute force does, every returned witness
+    revalidates, and its size is the brute-force optimum.  Corpus: all connected graphs up to isomorphism on <= 5
     vertices plus 500 seeded connected graphs on 6..8 vertices, each
     crossed with k <= 3 and c in {2, 3}."""
 
@@ -124,6 +124,7 @@ def test_vertex_bisection_driver_agrees_with_oracle():
                     assert got.is_valid(g)
                     assert is_balanced_separator(g, got)
                     assert len(got.s) <= k
+                    assert len(got.s) == want.optimum, (sorted(g.edges()), k, c)
                     assert len(connected_components(g, within=got.a | got.b)) == c
 
     for n in range(2, 6):
@@ -182,7 +183,7 @@ def test_separator_dp_root_values_match_brute_force():
         else:
             g = base
         table = sep_dp(g, make_nice(td), 3)
-        got = {(key.c, key.ell): e.value for key, e in table.node_items(table.final_node)}
+        got = {key: e.value for key, e in table.entries.items()}
         assert got == brute_values(g, 3), sorted(g.edges())
         accepted += 1
 

@@ -11,7 +11,7 @@ import pytest
 
 from balcut import cli, formats
 from balcut.graph import Graph
-from balcut.qexpr import forest_qexpr
+from balcut.qexpr import family_qexpr, forest_qexpr
 
 C6 = "p tw 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
 K3 = "p tw 3 3\n1 2\n1 3\n2 3\n"
@@ -102,6 +102,22 @@ def test_bisect_rejects_mismatched_expression(c6, tmp_path, capsys):
     code, _, err = run_cli(capsys, "bisect", "--graph", c6, "--expr", str(ef))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_bisect_expression_file_beyond_the_search_limit(tmp_path, capsys):
+    # leaves read from a file are unnamed; matching 12 of them is out of reach
+    gf = tmp_path / "p12.gr"
+    gf.write_text("p tw 12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 12)))
+    ef = tmp_path / "p12.qe"
+    ef.write_text(formats.emit_qexpr(family_qexpr("path", 12)) + "\n")
+    code, out, err = run_cli(capsys, "bisect", "--graph", str(gf), "--expr", str(ef))
+    assert code == 2
+    assert out == ""
+    assert "at most 10 vertices" in err
+    assert "without --expr" in err
+    code, out, _ = run_cli(capsys, "bisect", "--graph", str(gf))
+    assert code == 0
+    assert out.splitlines()[0] == "cut 1"
 
 
 def test_bisect_rejects_weighted_graphs(tmp_path, capsys):

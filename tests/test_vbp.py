@@ -21,6 +21,8 @@ from balcut.oracle import brute_vertex_bisection
 from balcut.td import LEAF, exact_treewidth_small, make_nice
 from balcut.vbp import (
     SepEntry,
+    _step,
+    _steps,
     min_weight_separator,
     rebalance_move,
     sep_dp,
@@ -33,6 +35,34 @@ from .conftest import all_graphs_up_to_iso, random_connected_graph
 def build_table(g, c_max):
     _, td = exact_treewidth_small(g)
     return sep_dp(g, make_nice(td), c_max)
+
+
+def replay(g, c_max):
+    """Every table ``sep_dp`` builds, in its order: (kind, bag, vertices
+    below, table) per decomposition node, then per synthesized forget that
+    empties the root bag.  Checks that the last one is the root map that
+    ``sep_dp`` returns."""
+    _, td = exact_treewidth_small(g)
+    ntd = make_nice(td)
+    live, steps = [], []
+    for kind, bag, arity in _steps(ntd):
+        k = len(live) - arity
+        kids = live[k:]
+        del live[k:]
+        table = _step(g, kind, bag, [t for _, t in kids], c_max)
+        below = set(bag).union(*(vs for vs, _ in kids))
+        live.append((below, table))
+        steps.append((kind, bag, below, table))
+    # above the root, its bag is shed one vertex at a time in vertex order
+    root_bag = sorted(ntd.bags[ntd.root])
+    assert [(kind, bag) for kind, bag, _, _ in steps[len(ntd.bags) :]] == [
+        (("forget", v), frozenset(root_bag[i + 1 :])) for i, v in enumerate(root_bag)
+    ]
+    last = steps[-1][3]
+    assert sep_dp(g, ntd, c_max).entries == {
+        (c, ell): e for (_, _, _, c, ell), e in last.items()
+    }
+    return steps
 
 
 def brute_final_values(g, c_max):
@@ -71,18 +101,14 @@ def test_p3_final_query():
 
 def test_single_vertex_leaf_table():
     g = Graph(1)
-    table = build_table(g, 1)
     leaves = [
-        x
-        for x in table.ntd.postorder()
-        if table.ntd.kind[x] == LEAF and table.ntd.bags[x] == frozenset({1})
+        table
+        for kind, bag, _, table in replay(g, 1)
+        if kind == LEAF and bag == frozenset({1})
     ]
     assert leaves
-    local = {
-        (k.s_t, k.p_a, k.p_b, k.c, k.ell): e for k, e in table.node_items(leaves[0])
-    }
     one = frozenset({1})
-    assert local == {
+    assert leaves[0] == {
         (frozenset(), (one,), (), 0, 1): SepEntry(0, frozenset(), one),
         (frozenset(), (), (one,), 0, 0): SepEntry(0, frozenset(), frozenset()),
         (one, (), (), 0, 0): SepEntry(1, one, frozenset()),
@@ -94,7 +120,8 @@ def test_k3_never_splits():
     for ell in range(0, 4):
         assert table.query(2, ell) is None
     # stronger: no key anywhere sees both sides, every vertex pair is adjacent
-    assert all(not (k.p_a and k.p_b) for k in table.entries)
+    steps = replay(complete_graph(3), 2)
+    assert all(not (p_a and p_b) for *_, t in steps for _, p_a, p_b, _, _ in t)
 
 
 def test_sep_dp_input_checks():
@@ -119,52 +146,33 @@ def test_sep_dp_input_checks():
     ids=["p5", "c6", "star5", "weighted-p3", "random7"],
 )
 def test_entries_satisfy_their_keys(g):
-    """Every stored witness realizes every field of its own key."""
-    table = build_table(g, 3)
-    ntd = table.ntd
-    subtree = {}
-    for x in ntd.postorder():
-        vs = set(ntd.bags[x])
-        for ch in ntd.children[x]:
-            vs |= subtree[ch]
-        subtree[x] = vs
-    # the synthesized forgets above the root shed its bag one vertex at a time
-    virtual_bags = {}
-    vb = set(ntd.bags[ntd.root])
-    nid = max(ntd.bags) + 1
-    for v in sorted(ntd.bags[ntd.root]):
-        vb = vb - {v}
-        virtual_bags[nid] = frozenset(vb)
-        nid += 1
-    for key, e in table.entries.items():
-        if key.node in ntd.bags:
-            verts, bag = subtree[key.node], ntd.bags[key.node]
-        else:
-            verts, bag = set(g.vertices), virtual_bags[key.node]
-        assert e.s_set <= verts and e.a_set <= verts - e.s_set
-        assert e.s_set & bag == key.s_t
-        assert g.weight_of(e.s_set) == e.value
-        assert g.weight_of(e.a_set) == key.ell
-        comps = connected_components(g, within=verts - e.s_set)
-        assert len(comps) == len(key.p_a) + len(key.p_b) + key.c
-        a_parts = {comp & bag for comp in comps if comp <= e.a_set} - {frozenset()}
-        b_side = verts - e.s_set - e.a_set
-        b_parts = {comp & bag for comp in comps if comp <= b_side} - {frozenset()}
-        assert a_parts == set(key.p_a)
-        assert b_parts == set(key.p_b)
-        # A and B are unions of components with no edges between them
-        for comp in comps:
-            assert comp <= e.a_set or not (comp & e.a_set)
+    """Every stored witness realizes every field of its own key, at every
+    decomposition node and every synthesized forget above the root."""
+    steps = replay(g, 3)
+    assert steps[-1][1] == frozenset() and steps[-1][2] == set(g.vertices)
+    for _, bag, verts, table in steps:
+        for (s_t, p_a, p_b, c, ell), e in table.items():
+            assert e.s_set <= verts and e.a_set <= verts - e.s_set
+            assert e.s_set & bag == s_t
+            assert g.weight_of(e.s_set) == e.value
+            assert g.weight_of(e.a_set) == ell
+            comps = connected_components(g, within=verts - e.s_set)
+            assert len(comps) == len(p_a) + len(p_b) + c
+            a_parts = {comp & bag for comp in comps if comp <= e.a_set} - {frozenset()}
+            b_side = verts - e.s_set - e.a_set
+            b_parts = {comp & bag for comp in comps if comp <= b_side} - {frozenset()}
+            assert a_parts == set(p_a)
+            assert b_parts == set(p_b)
+            # A and B are unions of components with no edges between them
+            for comp in comps:
+                assert comp <= e.a_set or not (comp & e.a_set)
 
 
 def test_final_values_match_brute_force_exhaustive():
     for n in range(1, 5):
         for g in all_graphs_up_to_iso(n):
             table = build_table(g, 3)
-            got = {
-                (k.c, k.ell): e.value
-                for k, e in table.node_items(table.final_node)
-            }
+            got = {key: e.value for key, e in table.entries.items()}
             assert got == brute_final_values(g, 3), sorted(g.edges())
 
 
@@ -179,7 +187,7 @@ def test_final_values_match_brute_force_random(n, seed, weighted):
     else:
         g = base
     table = build_table(g, 3)
-    got = {(k.c, k.ell): e.value for k, e in table.node_items(table.final_node)}
+    got = {key: e.value for key, e in table.entries.items()}
     assert got == brute_final_values(g, 3)
 
 
@@ -332,6 +340,11 @@ def test_bisection_argument_checks():
     weighted = Graph(3, [(1, 2)], vertex_weights={1: 2, 2: 1, 3: 1})
     with pytest.raises(ValueError):
         solve_vertex_bisection(weighted, 1, 2)
+
+
+def test_bisection_beyond_the_exact_treewidth_limit():
+    with pytest.raises(ValueError, match="n <= 15"):
+        solve_vertex_bisection(path_graph(16), 1, 2)
 
 
 def test_bisection_deterministic():

@@ -249,3 +249,23 @@ def test_solver_matches_oracle_random(n, seed, d):
     assert dp.is_valid(g)
     assert cut_size(g, dp) == cut
     assert cut == brute_balanced_partition(g, d).optimum
+
+
+def test_edge_weights_are_charged():
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)], edge_weights={(2, 3): 5})
+    dp, cut = solve_balanced_partition_vc(g, 2)
+    assert cut == brute_balanced_partition(g, 2).optimum == 2
+    assert cut_size(g, dp) == cut
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solver_matches_weighted_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    base = random_connected_graph(n, 0.35, seed=seed)
+    g = Graph(n, base.edges(), edge_weights={e: rng.randint(1, 6) for e in base.edges()})
+    for d in (2, 3):
+        dp, cut = solve_balanced_partition_vc(g, d)
+        assert dp.is_valid(g)
+        assert cut_size(g, dp) == cut
+        assert cut == brute_balanced_partition(g, d).optimum, (sorted(g.edges()), d)
