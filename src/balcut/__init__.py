@@ -2,7 +2,7 @@
 
 The package bundles four exact solvers (separator DP over tree
 decompositions, a trimmer-based vertex-bisection driver, a bisection DP
-over cliquewidth expressions, and a vertex-cover matching solver for
+over cliquewidth expressions, and a vertex-cover partitioner for
 balanced partitioning), brute-force reference oracles, and a family of
 reduction-based instance generators.
 """

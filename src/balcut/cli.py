@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 from . import formats
 from .cwcut import solve_bisection_cwd
 from .graph import (
-    Bipartition,
     DPartition,
     Graph,
     Separation,
@@ -106,7 +105,16 @@ def _vertex_list(spec: str, g: Graph, flag: str) -> List[int]:
     return out
 
 
-def _solution_text(kind: str, value: int, parts: Dict[int, int]) -> str:
+def _solution_text(kind: str, value: int, witness) -> str:
+    """A solution file for a Bipartition (A 0, B 1), a Separation (A 0, B 1,
+    S 2) or a DPartition (parts in order)."""
+    if isinstance(witness, DPartition):
+        sides = witness.parts
+    elif isinstance(witness, Separation):
+        sides = (witness.a, witness.b, witness.s)
+    else:
+        sides = (witness.a, witness.b)
+    parts = {v: i for i, side in enumerate(sides) for v in side}
     return formats.emit_solution(formats.Solution(kind, value, parts))
 
 
@@ -157,9 +165,7 @@ def _cmd_bisect(args) -> int:
         raise AssertionError("solver produced an answer that fails self-checks")
     if args.dot:
         _emit_dot(g, args.dot)
-    parts = {v: 0 for v in bp.a}
-    parts.update({v: 1 for v in bp.b})
-    _write_text(args.output, _solution_text("cut", cut, parts))
+    _write_text(args.output, _solution_text("cut", cut, bp))
     return EXIT_FOUND
 
 
@@ -183,16 +189,14 @@ def _cmd_vbisect(args) -> int:
         raise AssertionError("solver produced an answer that fails self-checks")
     if args.dot:
         _emit_dot(g, args.dot)
-    parts = {v: 0 for v in sep.a}
-    parts.update({v: 1 for v in sep.b})
-    parts.update({v: 2 for v in sep.s})
-    _write_text(args.output, _solution_text("sep", len(sep.s), parts))
+    _write_text(args.output, _solution_text("sep", len(sep.s), sep))
     return EXIT_FOUND
 
 
 def _cmd_bpart(args) -> int:
     g = _load_graph(args.graph)
-    _require_unweighted(g, "bpart")
+    if not g.is_unit_vertex_weighted():
+        raise InputError("bpart balances vertex counts; the graph must not carry vertex weights")
     if args.d < 1:
         raise InputError("--d must be at least 1")
     dp, cut = solve_balanced_partition_vc(g, args.d)
@@ -200,8 +204,7 @@ def _cmd_bpart(args) -> int:
         raise AssertionError("solver produced an answer that fails self-checks")
     if args.dot:
         _emit_dot(g, args.dot)
-    parts = {v: i for i, part in enumerate(dp.parts) for v in part}
-    _write_text(args.output, _solution_text("cut", cut, parts))
+    _write_text(args.output, _solution_text("cut", cut, dp))
     return EXIT_FOUND
 
 
@@ -336,20 +339,8 @@ def _cmd_oracle(args) -> int:
         raise InputError(str(exc)) from None
     if not res.feasible:
         raise Infeasible("the oracle found no solution within the budgets")
-    w = res.witness
-    if isinstance(w, Separation):
-        parts = {v: 0 for v in w.a}
-        parts.update({v: 1 for v in w.b})
-        parts.update({v: 2 for v in w.s})
-        kind = "sep"
-    elif isinstance(w, Bipartition):
-        parts = {v: 0 for v in w.a}
-        parts.update({v: 1 for v in w.b})
-        kind = "cut"
-    else:
-        parts = {v: i for i, part in enumerate(w.parts) for v in part}
-        kind = "cut"
-    _write_text(args.output, _solution_text(kind, res.optimum, parts))
+    kind = "sep" if isinstance(res.witness, Separation) else "cut"
+    _write_text(args.output, _solution_text(kind, res.optimum, res.witness))
     return EXIT_FOUND
 
 

@@ -92,24 +92,6 @@ class SepTable:
         return self.entries.get((c, ell))
 
 
-def _leaf_table(g: Graph, bag: FrozenSet[int]):
-    table = {}
-    vs = sorted(bag)
-    for s_bits in range(1 << len(vs)):
-        s_t = frozenset(v for i, v in enumerate(vs) if s_bits >> i & 1)
-        rest = [v for v in vs if v not in s_t]
-        for a_bits in range(1 << len(rest)):
-            wa = frozenset(v for i, v in enumerate(rest) if a_bits >> i & 1)
-            wb = frozenset(rest) - wa
-            if any(g.neighbors(u) & wb for u in wa):
-                continue  # not a separator of the bag graph
-            p_a = _canon(connected_components(g, within=wa))
-            p_b = _canon(connected_components(g, within=wb))
-            key = (s_t, p_a, p_b, 0, g.weight_of(wa))
-            _put(table, key, SepEntry(g.weight_of(s_t), s_t, wa))
-    return table
-
-
 def _introduce_table(g: Graph, child, v: int):
     table = {}
     nv = g.neighbors(v)
@@ -218,8 +200,11 @@ def _steps(ntd: NiceTreeDecomposition):
 
 def _step(g: Graph, kind: tuple, bag: FrozenSet[int], kids: List[dict], c_max: int):
     """The table of one step from its children's tables."""
-    if kind == LEAF:
-        return _leaf_table(g, bag)
+    if kind == LEAF:  # the empty-state table, then the bag vertex (if any) introduced
+        table = {(frozenset(), (), (), 0, 0): SepEntry(0, frozenset(), frozenset())}
+        for v in bag:
+            table = _introduce_table(g, table, v)
+        return table
     if kind == JOIN:
         return _join_tables(g, kids[0], kids[1], c_max)
     if kind[0] == "introduce":

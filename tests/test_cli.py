@@ -141,6 +141,29 @@ def test_bpart_solution_verifies(tmp_path, capsys):
     assert out2.startswith("valid: cut 2")
 
 
+def test_bpart_takes_edge_weights(tmp_path, capsys):
+    p = tmp_path / "w.gr"
+    p.write_text("p tw 4 3\n1 2\ne 2 3 5\n3 4\n")
+    code, out, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "cut 2"
+    code, want, _ = run_cli(capsys, "oracle", "bpart", "--graph", str(p), "--d", "2")
+    assert code == 0 and want.splitlines()[0] == "cut 2"
+    sol = tmp_path / "w.sol"
+    sol.write_text(out)
+    code, out2, _ = run_cli(capsys, "verify", "--graph", str(p), "--solution", str(sol))
+    assert code == 0
+    assert out2.startswith("valid: cut 2")
+
+
+def test_bpart_rejects_vertex_weights(tmp_path, capsys):
+    p = tmp_path / "vw.gr"
+    p.write_text("p tw 2 1\nw 1 3\n1 2\n")
+    code, out, err = run_cli(capsys, "bpart", "--graph", str(p), "--d", "2")
+    assert code == 2 and out == ""
+    assert "balances vertex counts" in err
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from balcut.graph import (
 )
 from balcut.oracle import brute_balanced_partition
 from balcut.vcpart import (
-    AssignmentProblem,
-    CoverPartition,
     enumerate_cover_partitions,
     min_cost_assignment,
     min_vertex_cover,
@@ -72,93 +70,87 @@ def test_partition_counts_follow_bell_numbers():
 
 def test_partition_single_group_when_d_is_one():
     ps = list(enumerate_cover_partitions({1, 2}, 1, 6))
-    assert [p.groups for p in ps] == [(frozenset({1, 2}),)]
+    assert ps == [(frozenset({1, 2}),)]
 
 
 def test_oversized_groups_are_discarded():
     # cap is ceil(2/2) = 1, so the two cover vertices cannot share a group
     ps = list(enumerate_cover_partitions({1, 2}, 2, 2))
-    assert [p.groups for p in ps] == [(frozenset({1}), frozenset({2}))]
-    for p in ps:
-        assert all(len(grp) <= p.cap for grp in p.groups)
+    assert ps == [(frozenset({1}), frozenset({2}))]
+    dp, cut = solve_balanced_partition_vc(path_graph(2), 2)
+    assert cut == 1 and dp.parts == (frozenset({1}), frozenset({2}))
+
+
+def test_partitions_are_ordered_disjoint_and_fit_the_cap():
+    cover = {1, 2, 4, 5}
+    for d, n in ((2, 6), (3, 7), (4, 9)):
+        cap = -(-n // d)
+        for groups in enumerate_cover_partitions(cover, d, n):
+            assert len(groups) <= d
+            assert all(grp and len(grp) <= cap for grp in groups)
+            assert frozenset().union(*groups) == cover
+            assert sum(len(grp) for grp in groups) == len(cover)
+            mins = [min(grp) for grp in groups]
+            assert mins == sorted(mins)
 
 
 def test_empty_cover_yields_the_empty_partition():
     ps = list(enumerate_cover_partitions((), 3, 5))
-    assert len(ps) == 1
-    assert ps[0].groups == ()
-    assert ps[0].capacities == (2, 2, 2)
+    assert ps == [()]
+    # the solver pads it to three empty parts with room ceil(5/3) = 2 each
+    dp, cut = solve_balanced_partition_vc(Graph(5), 3)
+    assert cut == 0 and sorted(len(p) for p in dp.parts) == [1, 2, 2]
 
 
 def test_group_count_capped_by_d_and_cover_size():
     ps = list(enumerate_cover_partitions({1, 2, 3}, 2, 9))
-    assert all(len(p.groups) <= 2 for p in ps)
+    assert all(len(groups) <= 2 for groups in ps)
     assert len(ps) == 4  # B3 minus the all-singletons partition
 
 
-def test_cover_partition_validation():
-    with pytest.raises(ValueError):
-        CoverPartition((frozenset({2}), frozenset({1})), 3, 2)  # out of order
-    with pytest.raises(ValueError):
-        CoverPartition((frozenset({1, 2, 3}),), 2, 2)  # over the cap
-    with pytest.raises(ValueError):
-        CoverPartition((frozenset({1}), frozenset({1, 2})), 3, 2)  # overlap
-    with pytest.raises(ValueError):
-        CoverPartition((frozenset({1}),) * 3, 2, 2)  # more groups than parts
-    cp = CoverPartition((frozenset({1, 4}), frozenset({2})), 3, 2)
-    assert cp.capacities == (0, 1, 2)
-    assert cp.all_groups == (frozenset({1, 4}), frozenset({2}), frozenset())
+def test_enumeration_argument_checks():
+    with pytest.raises(ValueError, match="at least one part"):
+        list(enumerate_cover_partitions({1}, 0, 3))
+    with pytest.raises(ValueError, match="larger than the graph"):
+        list(enumerate_cover_partitions({1, 2, 3}, 2, 2))
 
 
 # ------------------------------------------------------ min_cost_assignment
 
 
 def test_assignment_examples():
-    a, total = min_cost_assignment(AssignmentProblem((7,), ((0, 5),), (1, 1)))
-    assert a == {7: 0} and total == 0
-    a, total = min_cost_assignment(AssignmentProblem((7, 8), ((1, 2), (1, 2)), (1, 1)))
-    assert total == 3 and sorted(a.values()) == [0, 1]
-    a, total = min_cost_assignment(
-        AssignmentProblem(("x", "y"), ((0, 9), (0, 1)), (1, 1))
-    )
-    assert a == {"x": 0, "y": 1} and total == 1
+    assert min_cost_assignment([[0, 5]], [1, 1]) == ([0], 0)
+    placed, total = min_cost_assignment([[1, 2], [1, 2]], [1, 1])
+    assert total == 3 and sorted(placed) == [0, 1]
+    assert min_cost_assignment([[0, 9], [0, 1]], [1, 1]) == ([0, 1], 1)
+    # the second row takes group 0 and pushes the first one along to group 1
+    assert min_cost_assignment([[0, 1], [0, 9]], [1, 1]) == ([1, 0], 1)
+    assert min_cost_assignment([], [0, 0]) == ([], 0)
 
 
 def test_assignment_infeasible_capacities():
     with pytest.raises(ValueError, match="hold every item"):
-        min_cost_assignment(AssignmentProblem((1, 2, 3), ((0,), (0,), (0,)), (2,)))
+        min_cost_assignment([[0], [0], [0]], [2])
 
 
-def test_assignment_validation():
-    with pytest.raises(ValueError):
-        AssignmentProblem((1, 2), ((0, 1),), (1, 1))  # missing row
-    with pytest.raises(ValueError):
-        AssignmentProblem((1,), ((0, 1, 2),), (1, 1))  # row too long
-    with pytest.raises(ValueError):
-        AssignmentProblem((1,), ((-1, 0),), (1, 1))
-    with pytest.raises(ValueError):
-        AssignmentProblem((1,), ((0, 0),), (1, -1))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(2, 4), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 10**6))
 def test_assignment_matches_exhaustive_minimum(m, k, seed):
     rng = random.Random(seed)
-    items = tuple(range(m))
-    costs = tuple(tuple(rng.randint(0, 6) for _ in range(k)) for _ in range(m))
-    caps = tuple(rng.randint(0, m) for _ in range(k))
+    costs = [[rng.randint(0, 6) for _ in range(k)] for _ in range(m)]
+    caps = [rng.randint(0, m) for _ in range(k)]
     if sum(caps) < m:
         with pytest.raises(ValueError):
-            min_cost_assignment(AssignmentProblem(items, costs, caps))
+            min_cost_assignment(costs, caps)
         return
-    assignment, total = min_cost_assignment(AssignmentProblem(items, costs, caps))
+    placed, total = min_cost_assignment(costs, caps)
     # respects capacities and assigns everything
-    assert sorted(assignment) == list(items)
+    assert len(placed) == m
     for j in range(k):
-        assert sum(1 for g in assignment.values() if g == j) <= caps[j]
-    assert total == sum(costs[i][assignment[i]] for i in items)
+        assert placed.count(j) <= caps[j]
+    assert total == sum(costs[i][placed[i]] for i in range(m))
     best = min(
-        sum(costs[i][choice[i]] for i in items)
+        sum(costs[i][choice[i]] for i in range(m))
         for choice in itertools.product(range(k), repeat=m)
         if all(choice.count(j) <= caps[j] for j in range(k))
     )
@@ -167,13 +159,12 @@ def test_assignment_matches_exhaustive_minimum(m, k, seed):
 
 def test_assignment_cost_invariant_under_group_relabeling():
     rng = random.Random(3)
-    items = tuple(range(5))
-    costs = tuple(tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(5))
-    caps = (2, 2, 2)
-    _, base = min_cost_assignment(AssignmentProblem(items, costs, caps))
+    costs = [[rng.randint(0, 5) for _ in range(3)] for _ in range(5)]
+    caps = [2, 2, 2]
+    _, base = min_cost_assignment(costs, caps)
     for perm in itertools.permutations(range(3)):
-        shuffled = tuple(tuple(row[j] for j in perm) for row in costs)
-        _, total = min_cost_assignment(AssignmentProblem(items, shuffled, caps))
+        shuffled = [[row[j] for j in perm] for row in costs]
+        _, total = min_cost_assignment(shuffled, caps)
         assert total == base
 
 
