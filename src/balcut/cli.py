@@ -9,6 +9,7 @@ validators before printing anything.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from itertools import combinations
@@ -217,9 +218,17 @@ def _mapping_text(phi: Dict[int, int]) -> str:
     return "".join(f"phi {v} {phi[v]}\n" for v in sorted(phi))
 
 
+def _contraction_text(g: Graph, contracted: Graph, header: str) -> str:
+    """The contracted graph under its header; contractions act on adjacency
+    alone, so a weighted input gets one more comment saying so."""
+    comments = [header]
+    if not (g.is_unit_vertex_weighted() and g.is_unit_edge_weighted()):
+        comments.append("weights ignored: the contraction keeps only the adjacency")
+    return formats.emit_graph(contracted, comments=comments)
+
+
 def _cmd_trim(args) -> int:
     g = _load_graph(args.graph)
-    _require_unweighted(g, "trim")
     terminals = _vertex_list(args.terminals, g, "--terminals")
     if args.k < 0:
         raise InputError("--k must be non-negative")
@@ -228,20 +237,19 @@ def _cmd_trim(args) -> int:
         f"trimmer: n={g.n} m={g.m} k={args.k} "
         f"terminals={','.join(str(t) for t in sorted(trimmer.terminals))}"
     )
-    _write_text(args.out, formats.emit_graph(trimmer.g_star, comments=[header]))
+    _write_text(args.out, _contraction_text(g, trimmer.g_star, header))
     _write_text(args.map, _mapping_text(trimmer.phi))
     return EXIT_FOUND
 
 
 def _cmd_atorso(args) -> int:
     g = _load_graph(args.graph)
-    _require_unweighted(g, "atorso")
     w = _vertex_list(args.w, g, "--w")
     if not w:
         raise InputError("--w needs at least one vertex")
     at = atorso(g, w)
     header = f"augmented torso: n={g.n} m={g.m} w={','.join(str(v) for v in sorted(set(w)))}"
-    _write_text(args.out, formats.emit_graph(at.g_prime, comments=[header]))
+    _write_text(args.out, _contraction_text(g, at.g_prime, header))
     _write_text(args.map, _mapping_text(at.phi))
     return EXIT_FOUND
 
@@ -513,9 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args returns a fresh namespace on every call, so one parser serves
+# every main() call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Infeasible as exc:

@@ -8,6 +8,13 @@ their neighbourhoods instead.  A (k, T)-trimmer is the annotated torso over
 W = hull(T, k) ∪ T, where the hull collects every vertex of every
 inclusion-minimal separator of size at most k between two terminals.
 
+Those separators are enumerated by a bounded search tree (in the style of
+Marx, "Parameterized graph separation problems", 2006): each step finds a
+shortest path between the terminals in G minus the chosen set and branches
+on its inner vertices, so the tree is at most k deep.  A chosen set that
+separates is kept iff every vertex of it has a neighbour in both terminal
+components (the full-component test for minimality).
+
 Vertex ids in contracted graphs are reassigned order-preservingly: sorted W
 becomes 1..|W| and component vertices follow in order of component
 discovery.  phi/phi_inv carry the correspondence.
@@ -79,21 +86,27 @@ def torso(g: Graph, w: Iterable[int]) -> Graph:
     return Graph(n_w, sorted(edges))
 
 
-def _separates(g: Graph, s: int, t: int, blocked: FrozenSet[int]) -> bool:
-    """Is t unreachable from s in G - blocked?"""
-    if s in blocked or t in blocked:
-        raise ValueError("separator may not contain a terminal")
-    seen = {s}
-    stack = [s]
-    while stack:
-        v = stack.pop()
+def _st_path(g: Graph, s: int, t: int, blocked: FrozenSet[int]):
+    """Breadth-first search from s in G - blocked.
+
+    Returns (the inner vertices of a shortest s-t path in order from s, None)
+    if t is reachable, else (None, the vertex set of the component of s).
+    """
+    prev = {s: s}
+    queue = [s]
+    for v in queue:  # the queue grows while it is read
         for u in g.neighbors(v):
+            if u in prev or u in blocked:
+                continue
             if u == t:
-                return False
-            if u not in seen and u not in blocked:
-                seen.add(u)
-                stack.append(u)
-    return True
+                inner = []
+                while v != s:
+                    inner.append(v)
+                    v = prev[v]
+                return inner[::-1], None
+            prev[u] = v
+            queue.append(u)
+    return None, prev.keys()
 
 
 def _vertex_connectivity_at_least(g: Graph, s: int, t: int, bound: int) -> bool:
@@ -148,6 +161,19 @@ def minimal_st_separators(
     distinct from the empty *set of separators* when all separators are
     larger than k, and from {frozenset()} when s and t are already
     disconnected).
+
+    The search branches on s-t paths.  A state (X, F) holds the chosen set X
+    and the set F of vertices that may no longer be chosen.  While G - X has
+    an s-t path, every separator containing X has a vertex on it; the search
+    takes a shortest path P and, for each inner vertex v_i of P outside F
+    (in order from s), pushes the child (X + v_i, F + {v_1..v_{i-1}}).
+    Every minimal separator S with |S| <= k is reached: the first vertex of
+    P in S yields a child with X still inside S and F still disjoint from
+    it.  Sibling subtrees differ on whether v_i is chosen, so no set is
+    visited twice, and the search is at most k deep.  A state whose X
+    separates s from t is a leaf; X is kept iff it is minimal, that is iff
+    every vertex of X has a neighbour both in the component of s and in the
+    component of t of G - X (both components are then full).
     """
     if s == t:
         raise ValueError("terminals must differ")
@@ -155,21 +181,28 @@ def minimal_st_separators(
         raise ValueError("terminal outside the graph")
     if g.has_edge(s, t):
         return None
-    if _separates(g, s, t, frozenset()):
+    if _st_path(g, s, t, frozenset())[0] is None:
         return {frozenset()}
     if _vertex_connectivity_at_least(g, s, t, k + 1):
         return set()  # min cut exceeds k; nothing to report
 
     found: Set[FrozenSet[int]] = set()
-    pool = [v for v in g.vertices if v != s and v != t]
-    for size in range(1, k + 1):
-        for combo in combinations(pool, size):
-            cand = frozenset(combo)
-            if not _separates(g, s, t, cand):
-                continue
-            if any(_separates(g, s, t, cand - {v}) for v in cand):
-                continue  # a proper subset already separates
-            found.add(cand)
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        x, f = stack.pop()
+        path, s_side = _st_path(g, s, t, x)
+        if path is None:
+            _, t_side = _st_path(g, t, s, x)
+            if all(
+                any(u in s_side for u in g.neighbors(v))
+                and any(u in t_side for u in g.neighbors(v))
+                for v in x
+            ):
+                found.add(x)
+        elif len(x) < k:
+            free = [v for v in path if v not in f]
+            for i, v in enumerate(free):
+                stack.append((x | {v}, f.union(free[:i])))
     return found
 
 

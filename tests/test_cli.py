@@ -244,6 +244,25 @@ def test_atorso_writes_graph_and_mapping(c6, capsys):
     assert out.count("phi ") == 6
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("trim", ("--k", "1", "--terminals", "1,4")),
+    ("atorso", ("--w", "1,4")),
+])
+def test_contractions_take_weighted_graphs(tmp_path, capsys, command, flags):
+    plain = tmp_path / "p4.gr"
+    plain.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
+    weighted = tmp_path / "w4.gr"
+    weighted.write_text("p tw 4 3\n1 2\ne 2 3 5\n3 4\n")
+    code, want, _ = run_cli(capsys, command, "--graph", str(plain), *flags)
+    assert code == 0
+    assert "weights ignored" not in want
+    code, got, err = run_cli(capsys, command, "--graph", str(weighted), *flags)
+    assert code == 0 and err == ""
+    note = "c weights ignored: the contraction keeps only the adjacency\n"
+    assert got.count(note) == 1
+    assert got.replace(note, "") == want
+
+
 # --------------------------------------------------------------------------
 # generators
 # --------------------------------------------------------------------------
@@ -389,6 +408,22 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_calls_after_a_parse_error_match_a_fresh_parser(c6, capsys):
+    calls = [
+        ("trim", "--graph", c6, "--k", "1", "--terminals", "1,4"),
+        ("vbisect", "--graph", c6, "--k", "2"),
+    ]
+    want = []
+    for argv in calls:
+        args = cli.build_parser().parse_args(list(argv))
+        want.append((args.func(args), capsys.readouterr().out))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["trim", "--graph", c6, "--k", "one", "--terminals", "1,4"])
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert [run_cli(capsys, *argv)[:2] for argv in calls] == want
 
 
 def test_stdin_pipe_between_subcommands():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from balcut.graph import Graph, connected_components, path_graph, star_graph
+from balcut.graph import Graph, connected_components, cycle_graph, path_graph, star_graph
 from balcut.torso import (
     atorso,
     build_trimmer,
@@ -18,6 +18,7 @@ from balcut.td import exact_treewidth_small
 from .conftest import (
     all_graphs_up_to_iso,
     connected_graphs_up_to_iso,
+    grid_graph,
     random_connected_graph,
     random_graph,
     random_tree,
@@ -215,6 +216,29 @@ def test_separators_match_brute_force():
         s, t = rng.sample(sorted(g.vertices), 2)
         k = rng.randint(0, 3)
         assert minimal_st_separators(g, s, t, k) == _brute_minimal_separators(g, s, t, k)
+
+
+def test_separators_match_brute_force_on_long_paths():
+    # Cycles, ladders and grids have long shortest s-t paths, so the search
+    # takes many branches per state and leans on the rule that excludes the
+    # path vertices before the chosen one.  k runs from below the s-t
+    # connectivity (no separator fits) to above it.
+    rng = random.Random(61)
+    graphs = [cycle_graph(9), cycle_graph(12), grid_graph(2, 5), grid_graph(2, 6), grid_graph(3, 4)]
+    graphs += [
+        random_graph(rng.randint(10, 12), rng.uniform(0.2, 0.5), seed=rng.randrange(10**6))
+        for _ in range(6)
+    ]
+    below = within = 0
+    for g in graphs:
+        pairs = [(1, g.n)] + [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(2)]
+        for s, t in pairs:
+            for k in range(6):
+                want = _brute_minimal_separators(g, s, t, k)
+                assert minimal_st_separators(g, s, t, k) == want, (g.edges(), s, t, k)
+                below += want == set()
+                within += bool(want) and want != {frozenset()}
+    assert below >= 20 and within >= 50
 
 
 def test_separators_are_separators_and_minimal():
