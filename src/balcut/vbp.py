@@ -9,18 +9,21 @@ last table, keyed by (components, A-weight), is kept.  Each entry carries a
 concrete witness (the separator and the A-side realizing the minimum), which
 makes retracing a lookup and tie-breaking reproducible: minimum weight
 first, then the lexicographically smallest separator, then the smallest
-A-side.
+A-side.  A caller that will only query small separators or light A-sides
+passes ``value_max`` / ``ell_max``, and entries beyond them are never made.
 
 On top of the table sit the two solvers: ``min_weight_separator`` answers a
 single (c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
 contracts the graph around the small separators between them, runs the
 table on the contracted graph with pre-image sizes as weights, and
-rebalances the pulled-back result.
+rebalances the pulled-back result.  Terminal sets that contract to the same
+weighted graph share one table within a call.
 """
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, combinations
+from math import inf
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .graph import (
@@ -92,37 +95,30 @@ class SepTable:
         return self.entries.get((c, ell))
 
 
-def _introduce_table(g: Graph, child, v: int):
+def _glue(parts: Partition, v: int, nv: FrozenSet[int]) -> Partition:
+    """One side's partition after v joins it: v and every part it touches
+    become one part."""
+    touched = [part for part in parts if part & nv]
+    rest = [part for part in parts if not part & nv]
+    return _canon(rest + [frozenset({v}).union(*touched)])
+
+
+def _introduce_table(g: Graph, child, v: int, value_max, ell_max):
     table = {}
     nv = g.neighbors(v)
     lam_v = g.vertex_weight(v)
     for (s_t, p_a, p_b, c, ell), e in child.items():
         # v joins the separator
-        _put(
-            table,
-            (s_t | {v}, p_a, p_b, c, ell),
-            SepEntry(e.value + lam_v, e.s_set | {v}, e.a_set),
-        )
-        # v joins side A: glue the parts it touches; forbidden if it sees B
-        if not any(part & nv for part in p_b):
-            touched = [part for part in p_a if part & nv]
-            rest = [part for part in p_a if not part & nv]
-            merged = frozenset({v}).union(*touched) if touched else frozenset({v})
-            _put(
-                table,
-                (s_t, _canon(rest + [merged]), p_b, c, ell + lam_v),
-                SepEntry(e.value, e.s_set, e.a_set | {v}),
-            )
-        # v joins side B, symmetrically (ell tracks A only)
+        if e.value + lam_v <= value_max:
+            entry = SepEntry(e.value + lam_v, e.s_set | {v}, e.a_set)
+            _put(table, (s_t | {v}, p_a, p_b, c, ell), entry)
+        # v joins one side, gluing the parts it touches; forbidden if it sees
+        # the other side (ell tracks A only)
+        if ell + lam_v <= ell_max and not any(part & nv for part in p_b):
+            entry = SepEntry(e.value, e.s_set, e.a_set | {v})
+            _put(table, (s_t, _glue(p_a, v, nv), p_b, c, ell + lam_v), entry)
         if not any(part & nv for part in p_a):
-            touched = [part for part in p_b if part & nv]
-            rest = [part for part in p_b if not part & nv]
-            merged = frozenset({v}).union(*touched) if touched else frozenset({v})
-            _put(
-                table,
-                (s_t, p_a, _canon(rest + [merged]), c, ell),
-                SepEntry(e.value, e.s_set, e.a_set),
-            )
+            _put(table, (s_t, p_a, _glue(p_b, v, nv), c, ell), e)
     return table
 
 
@@ -153,7 +149,7 @@ def _forget_table(child, v: int, c_max: int):
     return table
 
 
-def _join_tables(g: Graph, t1, t2, c_max: int):
+def _join_tables(g: Graph, t1, t2, c_max: int, value_max, ell_max):
     def grouped(table):
         groups = defaultdict(list)
         for key, e in table.items():
@@ -174,15 +170,12 @@ def _join_tables(g: Graph, t1, t2, c_max: int):
         for (k1, e1) in items1:
             for (k2, e2) in items2:
                 c = k1[3] + k2[3]
-                if c > c_max:
-                    continue
+                value = e1.value + e2.value - lam_st
                 ell = k1[4] + k2[4] - lam_wa
+                if c > c_max or value > value_max or ell > ell_max:
+                    continue
                 key = (s_t, _fcc(k1[1], k2[1]), _fcc(k1[2], k2[2]), c, ell)
-                entry = SepEntry(
-                    e1.value + e2.value - lam_st,
-                    e1.s_set | e2.s_set,
-                    e1.a_set | e2.a_set,
-                )
+                entry = SepEntry(value, e1.s_set | e2.s_set, e1.a_set | e2.a_set)
                 _put(table, key, entry)
     return table
 
@@ -198,29 +191,54 @@ def _steps(ntd: NiceTreeDecomposition):
         yield ("forget", v), bag, 1
 
 
-def _step(g: Graph, kind: tuple, bag: FrozenSet[int], kids: List[dict], c_max: int):
-    """The table of one step from its children's tables."""
+def _step(
+    g: Graph,
+    kind: tuple,
+    bag: FrozenSet[int],
+    kids: List[dict],
+    c_max: int,
+    value_max: float = inf,
+    ell_max: float = inf,
+):
+    """The table of one step from its children's tables; entries with
+    separator weight above ``value_max`` or A-weight above ``ell_max`` are
+    never made."""
     if kind == LEAF:  # the empty-state table, then the bag vertex (if any) introduced
         table = {(frozenset(), (), (), 0, 0): SepEntry(0, frozenset(), frozenset())}
         for v in bag:
-            table = _introduce_table(g, table, v)
+            table = _introduce_table(g, table, v, value_max, ell_max)
         return table
     if kind == JOIN:
-        return _join_tables(g, kids[0], kids[1], c_max)
+        return _join_tables(g, kids[0], kids[1], c_max, value_max, ell_max)
     if kind[0] == "introduce":
-        return _introduce_table(g, kids[0], kind[1])
+        return _introduce_table(g, kids[0], kind[1], value_max, ell_max)
     return _forget_table(kids[0], kind[1], c_max)
 
 
-def sep_dp(g: Graph, ntd: NiceTreeDecomposition, c_max: int) -> SepTable:
+def sep_dp(
+    g: Graph,
+    ntd: NiceTreeDecomposition,
+    c_max: int,
+    value_max: float = inf,
+    ell_max: float = inf,
+) -> SepTable:
     """Fill the separator table bottom-up and return the one above the root.
 
     Entries exist for every reachable (c, ell) with component counter c at
     most ``c_max``; an absent pair means no separator realizes it.  Only
     the tables of nodes whose parent is still to come are held.
+
+    ``value_max`` and ``ell_max`` (unbounded by default) drop every entry
+    whose separator weight or A-weight exceeds them as soon as it would be
+    made.  This is exact: vertex weights are positive, so both only grow
+    towards the root, and ``ell`` is part of the key, so an entry over
+    ``value_max`` only wins a key where every entry is over it.  The result
+    is the unbounded root map restricted to the bounds, witnesses included.
     """
     if c_max < 0:
         raise ValueError("component counter bound must be non-negative")
+    if value_max < 0 or ell_max < 0:
+        raise ValueError("weight bounds must be non-negative")
     if not ntd.validate(g):
         raise ValueError("decomposition does not fit the graph")
     live: List[dict] = []
@@ -228,7 +246,7 @@ def sep_dp(g: Graph, ntd: NiceTreeDecomposition, c_max: int) -> SepTable:
         k = len(live) - arity
         kids = live[k:]
         del live[k:]
-        live.append(_step(g, kind, bag, kids, c_max))
+        live.append(_step(g, kind, bag, kids, c_max, value_max, ell_max))
     (root,) = live
     return SepTable({(c, ell): e for (_, _, _, c, ell), e in root.items()})
 
@@ -239,14 +257,14 @@ def min_weight_separator(g: Graph, c: int, s: int) -> Optional[Separation]:
     ``c`` may be 1 (a separator whose removal leaves a single component,
     with A one union of components); the balanced-separator driver only
     ever asks for c >= 2.  Desk scale: the decomposition comes from the
-    exact treewidth search.
+    exact treewidth search.  The table is filled with ``ell_max=s``.
     """
     if c < 1:
         raise ValueError("component count must be at least 1")
     if not 1 <= s <= g.total_vertex_weight:
         raise ValueError("target weight outside 1..total weight")
     _, td = exact_treewidth_small(g)
-    table = sep_dp(g, make_nice(td), c)
+    table = sep_dp(g, make_nice(td), c, ell_max=s)
     entry = table.query(c, s)
     if entry is None:
         return None
@@ -349,10 +367,17 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
 
     Tries every terminal set T of size c: contracts the graph around the
     small separators between the terminals, weights each contracted vertex
-    by its pre-image size, fills the separator table once, scans the
-    window of A-weights around half the graph, and pulls accepted
-    candidates back for rebalancing.  Among all candidates the smallest
-    separator wins (ties by vertex order, then by A-side).
+    by its pre-image size, looks up the separator table of that weighted
+    graph, scans the window of A-weights around half the graph, and pulls
+    accepted candidates back through T's own contraction for rebalancing.
+    Among all candidates the smallest separator wins (ties by vertex order,
+    then by A-side).
+
+    The tables live in one dict for the duration of the call, keyed by the
+    weighted contracted graph, so decomposition and DP run once per
+    distinct contracted graph rather than once per terminal set.  Each is
+    filled with ``value_max=k`` and ``ell_max`` the top of the A-weight
+    window; entries beyond either could never be accepted.
     """
     if k < 0:
         raise ValueError("separator budget must be non-negative")
@@ -364,15 +389,19 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
     best: Optional[Tuple[tuple, Separation]] = None
     s_lo = max(0, (n - 1 - 2 * k) // 2)  # integer ceil of n/2 - 1 - k
     s_hi = min(n, (n + 2 * k) // 2)
+    tables: Dict[tuple, SepTable] = {}  # weighted trimmed graph -> its table
     for terminals in combinations(range(1, n + 1), c):
         tr = build_trimmer(g, k, terminals)
         weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
         gw = Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights)
-        _, td = exact_treewidth_small(gw)
-        table = sep_dp(gw, make_nice(td), c)
+        table = tables.get(gw.key())
+        if table is None:
+            _, td = exact_treewidth_small(gw)
+            table = sep_dp(gw, make_nice(td), c, value_max=k, ell_max=s_hi)
+            tables[gw.key()] = table
         for s in range(s_lo, s_hi + 1):
             entry = table.query(c, s)
-            if entry is None or entry.value > k:
+            if entry is None:
                 continue
             lam_b = n - s - entry.value
             if abs(s - lam_b) > k - entry.value + 1:

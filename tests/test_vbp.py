@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balcut import vbp
 from balcut.graph import (
     Graph,
     Separation,
@@ -19,6 +20,7 @@ from balcut.graph import (
 )
 from balcut.oracle import brute_vertex_bisection
 from balcut.td import LEAF, exact_treewidth_small, make_nice
+from balcut.torso import build_trimmer
 from balcut.vbp import (
     SepEntry,
     _step,
@@ -29,7 +31,7 @@ from balcut.vbp import (
     solve_vertex_bisection,
 )
 
-from .conftest import all_graphs_up_to_iso, random_connected_graph
+from .conftest import all_graphs_up_to_iso, random_connected_graph, random_graph
 
 
 def build_table(g, c_max):
@@ -189,6 +191,32 @@ def test_final_values_match_brute_force_random(n, seed, weighted):
     table = build_table(g, 3)
     got = {key: e.value for key, e in table.entries.items()}
     assert got == brute_final_values(g, 3)
+
+
+def test_bounded_table_is_the_unbounded_one_restricted():
+    """value_max / ell_max drop entries while the table is filled, yet the
+    root map equals the unbounded one filtered to the bounds, witnesses
+    included (both weights only grow towards the root)."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        base = random_graph(n, rng.uniform(0.15, 0.6), seed=rng.randrange(10**6))
+        weights = {v: rng.randint(1, 3) for v in base.vertices}
+        g = Graph(n, base.edges(), vertex_weights=weights)
+        ntd = make_nice(exact_treewidth_small(g)[1])
+        total = g.total_vertex_weight
+        for c in (1, 2, 3):
+            full = sep_dp(g, ntd, c).entries
+            value_max = rng.randint(0, total)
+            ell_max = rng.randint(0, total)
+            got = sep_dp(g, ntd, c, value_max=value_max, ell_max=ell_max).entries
+            assert got == {
+                (cc, ell): e
+                for (cc, ell), e in full.items()
+                if e.value <= value_max and ell <= ell_max
+            }, (sorted(g.edges()), weights, c, value_max, ell_max)
+    with pytest.raises(ValueError):
+        sep_dp(g, ntd, 2, value_max=-1)
 
 
 # ------------------------------------------------- min_weight_separator
@@ -351,6 +379,36 @@ def test_bisection_deterministic():
     g = random_connected_graph(7, 0.3, seed=42)
     first = solve_vertex_bisection(g, 3, 2)
     assert first == solve_vertex_bisection(g, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "n, k, c, distinct", [(12, 2, 2, 2), (9, 3, 3, 1), (8, 1, 2, 6)]
+)
+def test_one_table_per_distinct_trimmed_graph(monkeypatch, n, k, c, distinct):
+    """The driver fills one separator table per distinct weighted trimmed
+    graph, not one per terminal set, and still matches the oracle.  On the
+    8-cycle with k = 1 the 6 weighted graphs share 2 shapes, so a table
+    keyed by shape alone would be reused across different weights."""
+    g = cycle_graph(n)
+    trimmed = set()
+    for terminals in itertools.combinations(g.vertices, c):
+        tr = build_trimmer(g, k, terminals)
+        weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
+        trimmed.add(Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights))
+    assert len(trimmed) == distinct
+
+    calls = []
+    real = vbp.sep_dp
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vbp, "sep_dp", counting)
+    got = solve_vertex_bisection(g, k, c)
+    assert len(calls) == distinct and set(calls) == trimmed
+
+    assert got == brute_vertex_bisection(g, k, c=c).witness
 
 
 def _assert_agrees_with_oracle(g, k, c):
