@@ -355,6 +355,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     sol = formats.parse_solution(_read_text(args.solution))
+    if args.c is not None and sol.kind != "sep":
+        raise InputError("--c checks separator solutions only")
     if set(sol.parts) != set(g.vertices):
         print("invalid: the solution does not assign every vertex exactly once")
         return EXIT_INFEASIBLE
@@ -376,6 +378,11 @@ def _cmd_verify(args) -> int:
         if len(sep.s) != sol.value:
             print(f"invalid: header says sep {sol.value} but the separator has {len(sep.s)} vertices")
             return EXIT_INFEASIBLE
+        if args.c is not None:
+            comps = len(connected_components(g, within=sep.a | sep.b))
+            if comps != args.c:
+                print(f"invalid: G - S has {comps} components but --c asks for {args.c}")
+                return EXIT_INFEASIBLE
         print(f"valid: sep {sol.value}")
         return EXIT_FOUND
     d = max(sol.parts.values()) + 1
@@ -516,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a solution file against its graph")
     sp.add_argument("--graph", default="-")
     sp.add_argument("--solution", required=True)
+    sp.add_argument("--c", type=int, default=None,
+                    help="also require a separator solution to leave exactly this many components")
     sp.set_defaults(func=_cmd_verify)
 
     return ap

@@ -5,9 +5,13 @@ parts decides almost everything: the leftover vertices form an independent
 set whose members can be placed one by one, each caring only about the
 weight of its edges to neighbours outside its part.  The solver enumerates
 the set partitions of the cover into at most d groups (dropping any that
-overfill a part), assigns the independent vertices at minimum cost under
-the remaining capacities by shortest paths over the d parts alone, and
-keeps the cheapest combination, first enumerated winning ties.
+overfill a part) and skips every split whose cover cut, or cover cut plus
+the capacity-free placement cost, already reaches the best total.  The
+rest get their independent vertices assigned at minimum cost under the
+remaining capacities, greedily while that provably matches shortest paths
+over the d parts alone and by those shortest paths after; the cheapest
+combination is kept, first enumerated winning ties.  The cover itself
+comes from a branching search pruned by a greedy-matching lower bound.
 """
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -18,35 +22,45 @@ from .graph import DPartition, Graph, cut_size
 def min_vertex_cover(g: Graph, tau_max: int) -> Optional[FrozenSet[int]]:
     """Minimum vertex cover if one of size at most tau_max exists, else None.
 
-    Bounded-depth branching on the first uncovered edge; among all minimum
-    covers the lexicographically smallest is returned, so results are
-    reproducible.
+    Depth-first branching on the first uncovered edge (u, v), u before v,
+    over an explicit stack of partial covers.  The scan for that edge also
+    builds a greedy matching of the uncovered edges; a partial cover is
+    dropped when its size plus the matching exceeds the budget (tau_max,
+    then the best size found).  The prune is strict, so every minimum cover
+    is reached and the lexicographically smallest one is returned, which
+    keeps results reproducible.
     """
     if tau_max < 0:
         return None
     edges = sorted(g.edges())
     best: Optional[Tuple[tuple, FrozenSet[int]]] = None
-
-    def branch(cover: set):
-        nonlocal best
-        limit = tau_max if best is None else min(tau_max, len(best[1]))
-        uncovered = next(
-            ((u, v) for u, v in edges if u not in cover and v not in cover), None
-        )
-        if uncovered is None:
+    limit = tau_max
+    stack: List[FrozenSet[int]] = [frozenset()]
+    while stack:
+        cover = stack.pop()
+        first = None
+        matched = set()
+        bound = len(cover)
+        for u, v in edges:
+            if u in cover or v in cover:
+                continue
+            if first is None:
+                first = (u, v)
+            if u not in matched and v not in matched:
+                matched.add(u)
+                matched.add(v)
+                bound += 1
+                if bound > limit:
+                    break
+        if first is None:
             rank = (len(cover), tuple(sorted(cover)))
             if best is None or rank < best[0]:
-                best = (rank, frozenset(cover))
-            return
-        if len(cover) >= limit:
-            return
-        u, v = uncovered
-        for w in (u, v):
-            cover.add(w)
-            branch(cover)
-            cover.discard(w)
-
-    branch(set())
+                best = (rank, cover)
+                limit = len(cover)
+        elif bound <= limit:
+            u, v = first
+            stack.append(cover | {v})
+            stack.append(cover | {u})
     return best[1] if best else None
 
 
@@ -104,6 +118,11 @@ def min_cost_assignment(
     ties), and every item on the path shifts one group along it.  Returns
     (group per row, total cost); raises when the capacities cannot hold
     every row.
+
+    Leading rows whose lowest-index minimum has room go straight there:
+    while every placed item sits in its own lowest-index minimum, no arc is
+    negative and a zero-cost arc only leads to a higher index, so the
+    shortest paths would pick the same group and move nothing.
     """
     k = len(capacities)
     if sum(capacities) < len(costs):
@@ -112,6 +131,13 @@ def min_cost_assignment(
     group: List[int] = []
     total = 0
     for row in costs:
+        b = row.index(min(row))
+        if not room[b]:
+            break
+        total += row[b]
+        room[b] -= 1
+        group.append(b)
+    for row in costs[len(group):]:
         dist = list(row)
         via = [-1] * k  # the placed item whose move reached each group
         for _ in range(k - 1):
@@ -137,26 +163,42 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     Enumerates cover splits, pads each to d groups and assigns the
     independent vertices under the leftover capacities (ceil(n/d) minus the
     group size); the reported cut is the assignment cost plus the weight of
-    the edges running between different cover groups.
+    the edges running between different cover groups.  Each item's cost
+    row is its weighted degree minus its weight into each group, from
+    (cover neighbour, weight) lists built once.  A split is skipped, before
+    any assignment, when its cover cut or its cover cut plus the sum of
+    row minima already reaches the best total: costs are non-negative and
+    only a strictly cheaper split replaces the best, so the winner stays
+    the first cheapest one enumerated.
     """
     if d < 1:
         raise ValueError("need at least one part")
     cover = min_vertex_cover(g, g.n)
     items = tuple(sorted(frozenset(g.vertices) - cover))
+    links = [[(u, g.edge_weight(v, u)) for u in g.neighbors(v)] for v in items]
+    degrees = [sum(w for _, w in nbrs) for nbrs in links]
+    cover_edges = [(u, v, g.edge_weight(u, v)) for u, v in g.edges() if u in cover and v in cover]
     cap = -(-g.n // d)
+    group_of = [0] * (g.n + 1)  # read for cover vertices only, all rewritten per split
     best: Optional[Tuple[int, DPartition]] = None
     for groups in enumerate_cover_partitions(cover, d, g.n):
-        group_of = {v: j for j, grp in enumerate(groups) for v in grp}
-        cover_cut = sum(
-            g.edge_weight(u, v)
-            for u, v in g.edges()
-            if u in group_of and v in group_of and group_of[u] != group_of[v]
-        )
+        for j, grp in enumerate(groups):
+            for v in grp:
+                group_of[v] = j
+        cover_cut = sum(w for u, v, w in cover_edges if group_of[u] != group_of[v])
+        if best is not None and cover_cut >= best[0]:
+            continue
+        rows = []
+        floor = cover_cut
+        for nbrs, deg in zip(links, degrees):
+            row = [deg] * d
+            for u, w in nbrs:
+                row[group_of[u]] -= w
+            rows.append(row)
+            floor += min(row)
+        if best is not None and floor >= best[0]:
+            continue
         groups += (frozenset(),) * (d - len(groups))
-        rows = [
-            [sum(g.edge_weight(v, u) for u in g.neighbors(v) - grp) for grp in groups]
-            for v in items
-        ]
         placed, cost = min_cost_assignment(rows, [cap - len(grp) for grp in groups])
         total = cover_cut + cost
         if best is None or total < best[0]:  # first enumerated wins ties

@@ -208,6 +208,30 @@ def test_verify_accepts_separator_solutions(c6, tmp_path, capsys):
     assert out2.startswith("valid: sep 2")
 
 
+def test_verify_checks_the_component_count_on_request(c6, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "vbisect", "--graph", c6, "--k", "2", "--c", "2")
+    sol = tmp_path / "c6.sol"
+    sol.write_text(out)
+    argv = ("verify", "--graph", c6, "--solution", str(sol))
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out2, _ = run_cli(capsys, *argv, "--c", "2")
+    assert code == 0 and out2 == plain == "valid: sep 2\n"
+    code, out3, _ = run_cli(capsys, *argv, "--c", "3")
+    assert code == 1
+    assert out3 == "invalid: G - S has 2 components but --c asks for 3\n"
+
+
+def test_verify_rejects_c_for_cut_solutions(tmp_path, capsys):
+    g = tmp_path / "p3.gr"
+    g.write_text(P3)
+    sol = tmp_path / "p3.sol"
+    sol.write_text("cut 1\n1 0\n2 0\n3 1\n")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--solution", str(sol), "--c", "2")
+    assert code == 2 and out == ""
+    assert "separator solutions only" in err
+
+
 def test_verify_catches_crossing_edges_in_separator_files(c6, tmp_path, capsys):
     sol = tmp_path / "c6.sol"
     sol.write_text("sep 2\n1 0\n2 1\n3 0\n4 2\n5 1\n6 2\n")

@@ -57,6 +57,23 @@ def test_min_vertex_cover_is_minimum(n, seed):
     )
     assert len(got) == want
     assert all(u in got or v in got for u, v in g.edges())
+    # the lexicographically smallest minimum cover: the first one that
+    # combinations() yields at the minimum size
+    first = next(
+        c
+        for c in itertools.combinations(verts, want)
+        if all(u in c or v in c for u, v in g.edges())
+    )
+    assert got == frozenset(first)
+    # a budget of exactly the minimum size finds the same cover; one less finds none
+    assert min_vertex_cover(g, want) == got
+    assert want == 0 or min_vertex_cover(g, want - 1) is None
+
+
+def test_min_vertex_cover_of_a_long_path_is_the_odd_vertices():
+    # the greedy-matching bound keeps this search small (it is 2^21 leaves
+    # without a lower bound)
+    assert min_vertex_cover(path_graph(42), 42) == frozenset(range(1, 42, 2))
 
 
 # ---------------------------------------------- enumerate_cover_partitions
@@ -155,6 +172,50 @@ def test_assignment_matches_exhaustive_minimum(m, k, seed):
         if all(choice.count(j) <= caps[j] for j in range(k))
     )
     assert total == best
+
+
+def _reference_ssp(costs, capacities):
+    """Successive shortest paths over the groups with full Bellman-Ford
+    rounds for every row: min_cost_assignment without its greedy prefix."""
+    k = len(capacities)
+    if sum(capacities) < len(costs):
+        raise ValueError("capacities cannot hold every item")
+    room = list(capacities)
+    group = []
+    total = 0
+    for row in costs:
+        dist = list(row)
+        via = [-1] * k
+        for _ in range(k - 1):
+            for t, a in enumerate(group):
+                base = dist[a] - costs[t][a]
+                for b, c in enumerate(costs[t]):
+                    if base + c < dist[b]:
+                        dist[b] = base + c
+                        via[b] = t
+        b = min((j for j in range(k) if room[j]), key=lambda j: (dist[j], j))
+        total += dist[b]
+        room[b] -= 1
+        while via[b] >= 0:
+            t = via[b]
+            group[t], b = b, group[t]
+        group.append(b)
+    return group, total
+
+
+def test_assignment_matches_reference_ssp_exactly():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 400:
+        k = rng.randint(1, 5)
+        m = rng.randint(0, 10)
+        costs = [[rng.randint(0, 6) for _ in range(k)] for _ in range(m)]
+        caps = [rng.randint(0, m) for _ in range(k)]
+        if sum(caps) < m:
+            continue
+        # the full (group list, total) pair, so tie-broken placements agree too
+        assert min_cost_assignment(costs, caps) == _reference_ssp(costs, caps), (costs, caps)
+        checked += 1
 
 
 def test_assignment_cost_invariant_under_group_relabeling():
@@ -260,3 +321,57 @@ def test_solver_matches_weighted_oracle(seed):
         assert dp.is_valid(g)
         assert cut_size(g, dp) == cut
         assert cut == brute_balanced_partition(g, d).optimum, (sorted(g.edges()), d)
+
+
+def _reference_solve(g, d):
+    """The solver without skips: every cover split is assigned, with cost
+    rows built from neighbour sets and the reference shortest paths."""
+    cover = min_vertex_cover(g, g.n)
+    items = sorted(frozenset(g.vertices) - cover)
+    cap = -(-g.n // d)
+    best = None
+    for groups in enumerate_cover_partitions(cover, d, g.n):
+        group_of = {v: j for j, grp in enumerate(groups) for v in grp}
+        cover_cut = sum(
+            g.edge_weight(u, v)
+            for u, v in g.edges()
+            if u in group_of and v in group_of and group_of[u] != group_of[v]
+        )
+        groups += (frozenset(),) * (d - len(groups))
+        rows = [
+            [sum(g.edge_weight(v, u) for u in g.neighbors(v) - grp) for grp in groups]
+            for v in items
+        ]
+        placed, cost = _reference_ssp(rows, [cap - len(grp) for grp in groups])
+        if best is None or cover_cut + cost < best[0]:
+            parts = [set(grp) for grp in groups]
+            for v, j in zip(items, placed):
+                parts[j].add(v)
+            best = (cover_cut + cost, tuple(frozenset(p) for p in parts))
+    return best
+
+
+def _graph_with_small_cover(rng):
+    """A random graph whose edges all touch a random set of at most 6
+    vertices; a third of them carry edge weights."""
+    n = rng.randint(1, 14)
+    hub = set(rng.sample(range(1, n + 1), rng.randint(0, min(6, n))))
+    p = rng.choice((0.2, 0.35, 0.5))
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u in hub or v in hub) and rng.random() < p
+    ]
+    weights = {e: rng.randint(1, 6) for e in edges} if rng.random() < 1 / 3 else None
+    return Graph(n, edges, edge_weights=weights)
+
+
+def test_solver_witnesses_match_the_unpruned_reference():
+    rng = random.Random(2024)
+    for _ in range(220):
+        g = _graph_with_small_cover(rng)
+        for d in (1, 2, 3, 4):
+            dp, cut = solve_balanced_partition_vc(g, d)
+            want_cut, want_parts = _reference_solve(g, d)
+            assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
