@@ -13,6 +13,15 @@ witness is a lookup and ties break to the lexicographically smallest side.
 Tables are filled in one post-order walk that holds only the tables of
 subexpressions whose parent is still to come, and only the root's is kept.
 Edge weights are not supported: the join step counts crossing pairs.
+
+The bisection driver keeps only entries some admissible root entry can use.
+A size window drops an entry whose A side is already too large, or can no
+longer grow large enough with the vertices still to come; a value bound,
+once some split has given a candidate, drops an entry whose cut already
+exceeds the best one.  Both are exact: A counts and cut values only grow
+towards the root, every entry competing for one key has the same A count,
+and ties are broken per key, so each kept entry holds the witness the full
+table would.  ``cut_dp`` builds the full table.
 """
 
 from dataclasses import dataclass
@@ -246,59 +255,99 @@ def cut_dp(
             "expression has a non-full join; run normalize_qexpr on it first"
         )
     corr = _match_expression(g, d_set, eval_qexpr(phi), correspondence)
-    tables = {(): _fill(g, split, phi, corr)}
-    return CutTable(phi=phi, q=phi.q, split=split, correspondence=corr, tables=tables)
+    q = phi.q
+    tables = {(): _fill(g, split, phi, q, corr)}
+    return CutTable(phi=phi, q=q, split=split, correspondence=corr, tables=tables)
 
 
 def _fill(
-    g: Graph, split: DeletionSplit, phi: QExpression, corr: Dict[int, int]
+    g: Graph,
+    split: DeletionSplit,
+    phi: QExpression,
+    q: int,
+    corr: Dict[int, int],
+    lo: int = 0,
+    hi: Optional[int] = None,
+    value_max: Optional[int] = None,
 ) -> Tuple[Vector, Dict[Vector, CutEntry]]:
-    """The root's label counts and cut table, for an expression whose joins
-    are all full and whose vertices ``corr`` maps onto G minus the deletion
-    set; the callers check both."""
+    """The root's label counts and cut table, for a ``q``-label expression
+    whose joins are all full and whose vertices ``corr`` maps onto G minus
+    the deletion set; the callers check both.
+
+    Only root entries with between ``lo`` and ``hi`` A-side vertices and a
+    value of at most ``value_max`` are kept, and no entry that cannot lead
+    to one is built.  With N expression vertices, an entry of an m-vertex
+    subexpression with a vertices on side A survives iff a <= hi and
+    a + (N - m) >= lo, as its A count can only grow, by at most N - m,
+    towards the root; it also needs value <= value_max, as leaf costs and
+    join increments are non-negative.  Every entry competing for one key
+    has the same A count and ``_put`` breaks ties per key, so each kept key
+    holds the same witness as in the unbounded table.
+    """
     # A count vector packs into one int, label l's count in bits
     # [shift[l-1], shift[l-1] + width); no count exceeds the vertex total, so
     # adding vectors never carries between fields.
-    q = phi.q
-    width = len(corr).bit_length()
+    total = len(corr)
+    hi = total if hi is None else hi
+    value_max = g.m if value_max is None else value_max  # no cut exceeds |E|
+    width = total.bit_length()
     ones = (1 << width) - 1
     shift = [width * label for label in range(q)]
     vid = 0
 
     def visit(pos, node, kids):
+        # value: (packed label counts, vertex count m, table)
         nonlocal vid
         if isinstance(node, Create):
             vid += 1
             gv = corr[vid]
             one = 1 << shift[node.label - 1]
+            table: dict = {}
             into_a = len(g.neighbors(gv) & split.b0)
             into_b = len(g.neighbors(gv) & split.a0)
-            return one, {one: (into_a, 1 << vid), 0: (into_b, 0)}
+            if lo <= total and hi >= 1 and into_a <= value_max:
+                table[one] = (into_a, 1 << vid)
+            if lo <= total - 1 and hi >= 0 and into_b <= value_max:
+                table[0] = (into_b, 0)
+            return one, 1, table
         if isinstance(node, Union):
-            (c1, t1), (c2, t2) = kids
+            (c1, m1, t1), (c2, m2, t2) = kids
             if len(t1) > len(t2):
-                t1, t2 = t2, t1
-            pairs = list(t2.items())
-            table: dict = {}
-            for a1, (v1, m1) in t1.items():
-                for a2, (v2, m2) in pairs:
-                    _put(table, a1 + a2, v1 + v2, m1 | m2)
-            return c1 + c2, table
-        ((counts, child),) = kids
+                m1, t1, m2, t2 = m2, t2, m1, t1
+            # the larger table grouped by A count, each group by value
+            groups: Dict[int, list] = {}
+            for a2, (v2, s2) in t2.items():
+                groups.setdefault(s2.bit_count(), []).append((v2, a2, s2))
+            for group in groups.values():
+                group.sort()
+            floor = lo - (total - m1 - m2)
+            table = {}
+            for a1, (v1, s1) in t1.items():
+                k1 = s1.bit_count()
+                room = value_max - v1
+                for k2 in range(max(0, floor - k1), min(m2, hi - k1) + 1):
+                    for v2, a2, s2 in groups.get(k2, ()):
+                        if v2 > room:
+                            break
+                        _put(table, a1 + a2, v1 + v2, s1 | s2)
+            return c1 + c2, m1 + m2, table
+        ((counts, m, child),) = kids
         si, sj = shift[node.i - 1], shift[node.j - 1]
         table = {}
         if isinstance(node, Join):
             ci, cj = (counts >> si) & ones, (counts >> sj) & ones
             for a, (value, mask) in child.items():
                 ai, aj = (a >> si) & ones, (a >> sj) & ones
-                table[a] = (value + ai * (cj - aj) + aj * (ci - ai), mask)
-            return counts, table
+                value += ai * (cj - aj) + aj * (ci - ai)
+                if value <= value_max:
+                    table[a] = (value, mask)
+            return counts, m, table
         step = (1 << sj) - (1 << si)  # Rename: label i's count moves to j
         for a, (value, mask) in child.items():
             _put(table, a + ((a >> si) & ones) * step, value, mask)
-        return counts + ((counts >> si) & ones) * step, table
+        return counts + ((counts >> si) & ones) * step, m, table
 
-    counts, root = fold_qexpr(phi, visit)
+    counts, _, root = fold_qexpr(phi, visit)
 
     def unpack(packed: int) -> Vector:
         return tuple((packed >> s) & ones for s in shift)
@@ -312,10 +361,17 @@ def solve_bisection_cwd(
     """Optimal bisection of G using an expression for G minus the deletion set.
 
     Normalizes and matches the expression once, then tries every split of
-    the deletion set, reads the root table at the two admissible A-side
-    totals (they coincide for even n), and keeps the minimum cut, breaking
-    ties toward the lexicographically smallest A.  Edge weights must all
-    be 1.
+    the deletion set, fills the root table only at the two admissible
+    A-side totals (they coincide for even n), and keeps the minimum cut,
+    breaking ties toward the lexicographically smallest A.  Edge weights
+    must all be 1.
+
+    Once a candidate exists, a later split is filled only up to the best
+    cut minus its internal cut, and skipped when its internal cut alone
+    exceeds the best.  Values only grow towards the root, pruning is on a
+    strict excess so ties still reach the ranking, and the ranking by
+    (cut, sorted A) is a total order, so the winner does not depend on the
+    order the splits are tried in.
     """
     _require_unit_edges(g)
     d_set = frozenset(d_set)
@@ -325,21 +381,22 @@ def solve_bisection_cwd(
     corr = _match_expression(g, d_set, eval_qexpr(phi))
 
     n = g.n
-    totals = sorted({n // 2, (n + 1) // 2})
+    q = phi.q
     d_sorted = sorted(d_set)
+    d_edges = [(u, v) for u, v in g.edges() if u in d_set and v in d_set]
     best: Optional[Tuple[tuple, Bipartition, int]] = None
     for bits in range(1 << len(d_sorted)):
         a0 = frozenset(v for i, v in enumerate(d_sorted) if bits >> i & 1)
-        split = DeletionSplit.from_sides(g, a0, d_set - a0)
-        _, root = _fill(g, split, phi, corr)
-        for a_vec, entry in root.items():
-            size_a = len(split.a0) + sum(a_vec)
-            if size_a not in totals:
-                continue
-            cut = split.internal_cut + entry.value
-            if best is not None and cut > best[2]:
-                continue
-            a = split.a0 | frozenset(corr[v] for v in _members(entry.a_side))
+        internal = sum(1 for u, v in d_edges if (u in a0) != (v in a0))
+        lo, hi = n // 2 - len(a0), (n + 1) // 2 - len(a0)
+        if hi < 0 or lo > len(corr) or (best is not None and internal > best[2]):
+            continue
+        split = DeletionSplit(d_set, a0, d_set - a0, internal)
+        value_max = None if best is None else best[2] - internal
+        _, root = _fill(g, split, phi, q, corr, lo, hi, value_max)
+        for entry in root.values():
+            cut = internal + entry.value
+            a = a0 | frozenset(corr[v] for v in _members(entry.a_side))
             rank = (cut, tuple(sorted(a)))
             if best is None or rank < best[0]:
                 best = (rank, Bipartition(a, frozenset(g.vertices) - a), cut)

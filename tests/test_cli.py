@@ -462,3 +462,19 @@ def test_stdin_pipe_between_subcommands():
     )
     assert solve.returncode == 0
     assert solve.stdout.splitlines()[0] == "cut 0"
+
+
+def test_python_dash_m_balcut_runs_the_cli(c6, capsys):
+    want = run_cli(capsys, "bisect", "--graph", c6)
+    got = subprocess.run(
+        [sys.executable, "-m", "balcut", "bisect", "--graph", c6],
+        capture_output=True, text=True,
+    )
+    assert (got.returncode, got.stdout) == want[:2]
+    # the exit code is passed on: 1 for an infeasible instance
+    infeasible = subprocess.run(
+        [sys.executable, "-m", "balcut", "vbisect", "--graph", c6, "--k", "1"],
+        capture_output=True, text=True,
+    )
+    assert infeasible.returncode == 1
+    assert "infeasible" in infeasible.stderr

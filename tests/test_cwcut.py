@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcut.cwcut import CutTable, DeletionSplit, cut_dp, solve_bisection_cwd
-from balcut.graph import Graph, complete_graph, cut_size, cycle_graph, path_graph
+from balcut.cwcut import CutTable, DeletionSplit, _fill, cut_dp, solve_bisection_cwd
+from balcut.graph import Bipartition, Graph, complete_graph, cut_size, cycle_graph, path_graph
 from balcut.oracle import brute_bisection
 from balcut.qexpr import (
     Create,
@@ -17,6 +17,7 @@ from balcut.qexpr import (
     eval_qexpr,
     family_qexpr,
     forest_qexpr,
+    greedy_deletion_set,
     normalize_qexpr,
     postorder,
 )
@@ -31,6 +32,25 @@ from .conftest import (
 
 def no_deletions(g):
     return DeletionSplit.from_sides(g, (), ())
+
+
+def forest_plus_edges(rng, n, extra):
+    """A random forest on n vertices (a tree with some edges dropped) plus
+    up to ``extra`` further random edges."""
+    edges = {e for e in random_tree(n, rng.randrange(10**6)).edges() if rng.random() > 0.15}
+    for _ in range(extra if n > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    return Graph(n, sorted(edges))
+
+
+def forest_deletion_set(rng, g, explicit):
+    """The greedy deletion set, or (explicit) that set plus random further
+    vertices, keeping at least one vertex outside."""
+    d = set(greedy_deletion_set(g))
+    if explicit:
+        rest = [v for v in g.vertices if v not in d]
+        d |= set(rng.sample(rest, rng.randint(0, min(4, len(rest) - 1))))
+    return frozenset(d)
 
 
 # --------------------------------------------------------- DeletionSplit
@@ -190,6 +210,31 @@ def test_root_marginal_and_join_monotonicity():
             assert entry.value >= child[a_vec].value
 
 
+def test_bounded_table_is_the_unbounded_one_restricted():
+    """lo / hi / value_max drop entries while the table is filled, yet the
+    root map equals the unbounded one filtered to the A-side window and the
+    value bound, witnesses included (A counts and values only grow towards
+    the root)."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        g = forest_plus_edges(rng, rng.randint(1, 14), rng.randint(0, 4))
+        d = forest_deletion_set(rng, g, rng.random() < 0.5)
+        a0 = {v for v in d if rng.random() < 0.5}
+        split = DeletionSplit.from_sides(g, a0, d - a0)
+        full = cut_dp(g, d, split, forest_qexpr(g, d))
+        counts, entries = full.tables[()]
+        total = sum(counts)
+        lo = rng.randint(-1, total + 1)
+        hi = lo + rng.choice([0, 0, 1, rng.randint(0, total)])
+        value_max = rng.choice([None, rng.randint(0, g.m)])
+        bound = g.m if value_max is None else value_max
+        got = _fill(g, split, full.phi, full.q, full.correspondence, lo, hi, value_max)
+        assert got == (
+            counts,
+            {a: e for a, e in entries.items() if lo <= sum(a) <= hi and e.value <= bound},
+        ), (sorted(g.edges()), sorted(a0), sorted(d - a0), lo, hi, value_max)
+
+
 # --------------------------------------------------- solve_bisection_cwd
 
 
@@ -267,3 +312,64 @@ def test_random_graphs_with_deletions_match_oracle(n, seed, connected):
     assert cut_size(g, bip) == cut
     cap = -(-g.n // 2)
     assert len(bip.a) <= cap and len(bip.b) <= cap
+
+
+def reference_bisection(g, d_set, phi):
+    """Every split of the deletion set, the unbounded table, and the
+    admissible entry of least (cut, sorted A)."""
+    n = g.n
+    totals = {n // 2, (n + 1) // 2}
+    ds = sorted(d_set)
+    best = None
+    for bits in range(1 << len(ds)):
+        a0 = frozenset(v for i, v in enumerate(ds) if bits >> i & 1)
+        split = DeletionSplit.from_sides(g, a0, d_set - a0)
+        table = cut_dp(g, d_set, split, normalize_qexpr(phi))
+        counts, entries = table.tables[()]
+        for a_vec, entry in entries.items():
+            if len(a0) + sum(a_vec) in totals:
+                b_vec = tuple(c - x for c, x in zip(counts, a_vec))
+                a = a0 | table.a_vertices(a_vec, b_vec)
+                rank = (split.internal_cut + entry.value, tuple(sorted(a)))
+                best = rank if best is None else min(best, rank)
+    cut, a = best
+    return Bipartition(a, frozenset(g.vertices) - frozenset(a)), cut
+
+
+def family_plus_deletions(rng, kind, m, extra):
+    """A clique or path on 1..m, its named expression, and ``extra`` further
+    vertices, each joined to random earlier ones, as the deletion set."""
+    base = complete_graph(m) if kind == "clique" else path_graph(m)
+    n = m + extra
+    edges = set(base.edges())
+    for v in range(m + 1, n + 1):
+        edges |= {(u, v) for u in range(1, v) if rng.random() < 0.4}
+    return Graph(n, sorted(edges)), frozenset(range(m + 1, n + 1)), family_qexpr(kind, m)
+
+
+def test_driver_matches_every_split_reference():
+    """The window, the cross-split bound and the skipped splits leave every
+    witness as the exhaustive search over unbounded tables finds it: n = 1,
+    odd n, deletion sets larger than n/2, clique and path expressions,
+    greedy and explicit deletion sets."""
+    rng = random.Random(7)
+    seen_big_d = seen_odd = 0
+    for i in range(300):
+        kind = i % 4
+        if kind < 2:
+            g = forest_plus_edges(rng, rng.randint(1, 12), rng.randint(0, 4))
+            d = forest_deletion_set(rng, g, explicit=kind == 1)
+            phi = forest_qexpr(g, d)
+        else:
+            family = "clique" if kind == 2 else "path"
+            g, d, phi = family_plus_deletions(rng, family, rng.randint(1, 6), rng.randint(0, 6))
+        seen_big_d += 2 * len(d) > g.n
+        seen_odd += g.n % 2
+        assert solve_bisection_cwd(g, d, phi) == reference_bisection(g, d, phi), (
+            sorted(g.edges()), g.n, sorted(d),
+        )
+    assert seen_big_d >= 20 and seen_odd >= 50
+    single = Graph(1)
+    assert solve_bisection_cwd(single, set(), Create(1, name=1)) == reference_bisection(
+        single, frozenset(), Create(1, name=1)
+    )
