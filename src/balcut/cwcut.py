@@ -21,11 +21,11 @@ once some split has given a candidate, drops an entry whose cut already
 exceeds the best one.  Both are exact: A counts and cut values only grow
 towards the root, every entry competing for one key has the same A count,
 and ties are broken per key, so each kept entry holds the witness the full
-table would.  ``cut_dp`` builds the full table.
+table would.  ``cut_dp`` is the checked reference: the full root table of
+one split, with its witnesses as vertex sets of G.
 """
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graph import Bipartition, Graph, validate_bisection
 from .qexpr import (
@@ -40,36 +40,6 @@ from .qexpr import (
 )
 
 Vector = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DeletionSplit:
-    """A two-sided split of the deletion set with its internal cut cost."""
-
-    d_set: FrozenSet[int]
-    a0: FrozenSet[int]
-    b0: FrozenSet[int]
-    internal_cut: int
-
-    def __post_init__(self):
-        if self.a0 & self.b0:
-            raise ValueError("the two sides of the split overlap")
-        if self.a0 | self.b0 != self.d_set:
-            raise ValueError("split sides must cover the deletion set")
-        if self.internal_cut < 0:
-            raise ValueError("internal cut cannot be negative")
-
-    @classmethod
-    def from_sides(cls, g: Graph, a0: Iterable[int], b0: Iterable[int]):
-        """Build a split, counting the crossing edges inside the deletion set."""
-        a0, b0 = frozenset(a0), frozenset(b0)
-        cut = sum(1 for u, v in g.edges() if (u in a0 and v in b0) or (u in b0 and v in a0))
-        return cls(a0 | b0, a0, b0, cut)
-
-
-class CutEntry(NamedTuple):
-    value: int
-    a_side: int  # bit v set iff expression vertex v (evaluation order) is on side A
 
 
 def _members(mask: int) -> List[int]:
@@ -97,49 +67,6 @@ def _require_unit_edges(g: Graph) -> None:
             " weighted_to_unweighted (`balcut gen unweight`) reduces weighted"
             " bisection to this case"
         )
-
-
-@dataclass
-class CutTable:
-    """The root cut table of an expression.
-
-    ``tables[()]`` holds the label-count vector of the whole expression and
-    its map from A-side count vectors to entries; no other subexpression's
-    table is kept.  ``value``/``a_vertices`` answer root queries in the
-    two-vector form, checking that the vectors add up to the label class
-    sizes.
-    """
-
-    phi: QExpression
-    q: int
-    split: DeletionSplit
-    correspondence: Dict[int, int]  # expression vertex -> graph vertex
-    tables: Dict[tuple, Tuple[Vector, Dict[Vector, CutEntry]]]
-
-    @property
-    def label_counts(self) -> Vector:
-        return self.tables[()][0]
-
-    def _root_entry(self, a: Vector, b: Vector) -> Optional[CutEntry]:
-        counts = self.label_counts
-        a, b = tuple(a), tuple(b)
-        if len(a) != self.q or len(b) != self.q:
-            raise ValueError(f"vectors must have length {self.q}")
-        if any(x < 0 for x in a + b):
-            raise ValueError("vector entries cannot be negative")
-        if tuple(x + y for x, y in zip(a, b)) != counts:
-            raise ValueError(f"vectors must add up to the label counts {counts}")
-        return self.tables[()][1].get(a)
-
-    def value(self, a: Vector, b: Vector) -> int:
-        entry = self._root_entry(a, b)
-        assert entry is not None  # every admissible vector pair is realizable
-        return entry.value
-
-    def a_vertices(self, a: Vector, b: Vector) -> FrozenSet[int]:
-        """Graph vertices (of G minus the deletion set) on side A."""
-        entry = self._root_entry(a, b)
-        return frozenset(self.correspondence[v] for v in _members(entry.a_side))
 
 
 def _induced_adjacency(g: Graph, keep: FrozenSet[int]) -> Dict[int, FrozenSet[int]]:
@@ -201,12 +128,7 @@ def _correspondence_by_search(lg, rest: FrozenSet[int], adj) -> Dict[int, int]:
     raise ValueError("expression does not evaluate to the graph minus the deletion set")
 
 
-def _match_expression(
-    g: Graph,
-    d_set: FrozenSet[int],
-    lg,
-    explicit: Optional[Dict[int, int]] = None,
-) -> Dict[int, int]:
+def _match_expression(g: Graph, d_set: FrozenSet[int], lg) -> Dict[int, int]:
     """Map expression vertices onto G - D, erroring on any mismatch."""
     rest = frozenset(g.vertices) - d_set
     if lg.graph.n != len(rest):
@@ -215,13 +137,6 @@ def _match_expression(
             f" deletion set has {len(rest)}"
         )
     adj = _induced_adjacency(g, rest)
-    if explicit is not None:
-        if sorted(explicit) != sorted(lg.graph.vertices) or set(explicit.values()) != rest:
-            raise ValueError("correspondence is not a bijection onto the kept vertices")
-        for u in lg.graph.vertices:
-            if {explicit[w] for w in lg.graph.neighbors(u)} != adj[explicit[u]]:
-                raise ValueError("correspondence does not preserve the edges")
-        return dict(explicit)
     by_name = _correspondence_by_names(lg, rest, adj)
     if by_name is not None:
         return by_name
@@ -229,50 +144,52 @@ def _match_expression(
 
 
 def cut_dp(
-    g: Graph,
-    d_set: Iterable[int],
-    split: DeletionSplit,
-    phi: QExpression,
-    correspondence: Optional[Dict[int, int]] = None,
-) -> CutTable:
-    """Fill the tables bottom-up and return the root's.
+    g: Graph, a0: Iterable[int], b0: Iterable[int], phi: QExpression
+) -> Tuple[Vector, Dict[Vector, Tuple[int, FrozenSet[int]]]]:
+    """The full root table for one split (a0, b0) of the deletion set
+    D = a0 | b0: the label counts of ``phi``, and a map from each A-side
+    count vector to its minimum cut and the vertices of G - D on side A.
 
-    Requires unit edge weights, every join of ``phi`` to be full (run
-    ``normalize_qexpr`` otherwise) and ``phi`` to evaluate to G minus the
-    deletion set, matched by Create names, an explicit correspondence, or
-    isomorphism search.  Edges inside the deletion set are NOT counted here
-    (the split carries them); edges leaving the deletion set are charged at
-    the leaves.
+    A checked reference for the driver's bounded tables.  Requires unit
+    edge weights, every join of ``phi`` to be full (run ``normalize_qexpr``
+    otherwise) and ``phi`` to evaluate to G - D, matched by Create names or
+    isomorphism search.  Edges inside D are NOT counted here; edges leaving
+    D are charged at the leaves.
     """
     _require_unit_edges(g)
-    d_set = frozenset(d_set)
+    a0, b0 = frozenset(a0), frozenset(b0)
+    if a0 & b0:
+        raise ValueError("the two sides of the split overlap")
+    d_set = a0 | b0
     if not d_set <= frozenset(g.vertices):
         raise ValueError("deletion set contains unknown vertices")
-    if split.d_set != d_set:
-        raise ValueError("split belongs to a different deletion set")
     if not joins_are_full(phi):
         raise ValueError(
             "expression has a non-full join; run normalize_qexpr on it first"
         )
-    corr = _match_expression(g, d_set, eval_qexpr(phi), correspondence)
-    q = phi.q
-    tables = {(): _fill(g, split, phi, q, corr)}
-    return CutTable(phi=phi, q=q, split=split, correspondence=corr, tables=tables)
+    corr = _match_expression(g, d_set, eval_qexpr(phi))
+    counts, root = _fill(g, a0, b0, phi, phi.q, corr)
+    return counts, {
+        a: (value, frozenset(corr[v] for v in _members(mask)))
+        for a, (value, mask) in root.items()
+    }
 
 
 def _fill(
     g: Graph,
-    split: DeletionSplit,
+    a0: FrozenSet[int],
+    b0: FrozenSet[int],
     phi: QExpression,
     q: int,
     corr: Dict[int, int],
     lo: int = 0,
     hi: Optional[int] = None,
     value_max: Optional[int] = None,
-) -> Tuple[Vector, Dict[Vector, CutEntry]]:
-    """The root's label counts and cut table, for a ``q``-label expression
-    whose joins are all full and whose vertices ``corr`` maps onto G minus
-    the deletion set; the callers check both.
+) -> Tuple[Vector, Dict[Vector, Tuple[int, int]]]:
+    """The root's label counts and its map from A-side count vectors to
+    (cut, A-side bitmask), for the split (a0, b0) of the deletion set and a
+    ``q``-label expression whose joins are all full and whose vertices
+    ``corr`` maps onto G minus the deletion set; the callers check both.
 
     Only root entries with between ``lo`` and ``hi`` A-side vertices and a
     value of at most ``value_max`` are kept, and no entry that cannot lead
@@ -303,8 +220,8 @@ def _fill(
             gv = corr[vid]
             one = 1 << shift[node.label - 1]
             table: dict = {}
-            into_a = len(g.neighbors(gv) & split.b0)
-            into_b = len(g.neighbors(gv) & split.a0)
+            into_a = len(g.neighbors(gv) & b0)
+            into_b = len(g.neighbors(gv) & a0)
             if lo <= total and hi >= 1 and into_a <= value_max:
                 table[one] = (into_a, 1 << vid)
             if lo <= total - 1 and hi >= 0 and into_b <= value_max:
@@ -352,7 +269,7 @@ def _fill(
     def unpack(packed: int) -> Vector:
         return tuple((packed >> s) & ones for s in shift)
 
-    return unpack(counts), {unpack(a): CutEntry(v, m) for a, (v, m) in root.items()}
+    return unpack(counts), {unpack(a): entry for a, entry in root.items()}
 
 
 def solve_bisection_cwd(
@@ -391,12 +308,11 @@ def solve_bisection_cwd(
         lo, hi = n // 2 - len(a0), (n + 1) // 2 - len(a0)
         if hi < 0 or lo > len(corr) or (best is not None and internal > best[2]):
             continue
-        split = DeletionSplit(d_set, a0, d_set - a0, internal)
         value_max = None if best is None else best[2] - internal
-        _, root = _fill(g, split, phi, q, corr, lo, hi, value_max)
-        for entry in root.values():
-            cut = internal + entry.value
-            a = a0 | frozenset(corr[v] for v in _members(entry.a_side))
+        _, root = _fill(g, a0, d_set - a0, phi, q, corr, lo, hi, value_max)
+        for value, mask in root.values():
+            cut = internal + value
+            a = a0 | frozenset(corr[v] for v in _members(mask))
             rank = (cut, tuple(sorted(a)))
             if best is None or rank < best[0]:
                 best = (rank, Bipartition(a, frozenset(g.vertices) - a), cut)

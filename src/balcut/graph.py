@@ -158,9 +158,6 @@ class Bipartition:
     def is_valid(self, g: Graph) -> bool:
         return not (self.a & self.b) and self.a | self.b == frozenset(g.vertices)
 
-    def side_of(self, v: int) -> int:
-        return 1 if v in self.a else 2
-
 
 @dataclass(frozen=True)
 class Separation:

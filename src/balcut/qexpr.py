@@ -180,9 +180,6 @@ class LabeledGraph:
     labels: Dict[int, int]
     names: Dict[int, object]
 
-    def label_class(self, i: int) -> frozenset:
-        return frozenset(v for v, lab in self.labels.items() if lab == i)
-
 
 class _Replay(NamedTuple):
     classes: Dict[int, List[int]]  # final label -> its vertices

@@ -16,8 +16,9 @@ On top of the table sit the two solvers: ``min_weight_separator`` answers a
 single (c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
 contracts the graph around the small separators between them, runs the
 table on the contracted graph with pre-image sizes as weights, and
-rebalances the pulled-back result.  Terminal sets that contract to the same
-weighted graph share one table within a call.
+rebalances the pulled-back result by moving BFS leaves of the heavier side
+into the separator (``_drive_balance``).  Terminal sets that contract to
+the same weighted graph share one table within a call.
 """
 
 from collections import defaultdict, deque
@@ -276,7 +277,7 @@ def _bfs_last(g: Graph, comp: FrozenSet[int]) -> int:
     """Last vertex discovered by BFS from the smallest vertex of comp.
 
     Removing it keeps the component connected (it is a leaf of the BFS
-    tree), which is what the rebalancing moves rely on.
+    tree), which is what the rebalancing move relies on.
     """
     root = min(comp)
     seen = {root}
@@ -292,53 +293,7 @@ def _bfs_last(g: Graph, comp: FrozenSet[int]) -> int:
     return order[-1]
 
 
-def rebalance_move(g: Graph, sep: Separation, k: int) -> Separation:
-    """Move exactly k - |S| vertices into S, keeping balance achievable.
-
-    Each move takes a BFS-tree leaf from a component of the currently
-    heavier side (either side on a tie) so the component count of G - S
-    never changes.  Raises when the move budget is negative, when the
-    sides are too uneven for the budget, or when every component on the
-    side that must shrink is a singleton.
-    """
-    if not sep.is_valid(g):
-        raise ValueError("not a valid separation of the graph")
-    moves = k - len(sep.s)
-    if moves < 0:
-        raise ValueError("separator already exceeds the size budget")
-    if abs(len(sep.a) - len(sep.b)) > moves + 1:
-        raise ValueError("sides too uneven to balance within the budget")
-    s, a, b = set(sep.s), set(sep.a), set(sep.b)
-    for _ in range(moves):
-        if len(a) > len(b):
-            sides = [a]
-        elif len(b) > len(a):
-            sides = [b]
-        else:
-            sides = [a, b]
-        chosen = None
-        for side in sides:
-            movable = [
-                comp
-                for comp in connected_components(g, within=side)
-                if len(comp) >= 2
-            ]
-            if movable:
-                chosen = (side, min(movable, key=min))
-                break
-        if chosen is None:
-            raise ValueError(
-                "every component on the side that must shrink is a singleton;"
-                " the move is infeasible"
-            )
-        side, comp = chosen
-        leaf = _bfs_last(g, comp)
-        side.discard(leaf)
-        s.add(leaf)
-    return Separation(s, a, b)
-
-
-def _drive_balance(g: Graph, sep: Separation, k: int) -> Separation:
+def _drive_balance(g: Graph, sep: Separation) -> Separation:
     """Shrink the heavier side until the sides differ by at most one.
 
     Prefers the budgeted move into S (a BFS leaf of a component with at
@@ -409,7 +364,7 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
             s_set = tr.pull_back(entry.s_set)
             a_set = tr.pull_back(entry.a_set)
             b_set = frozenset(g.vertices) - s_set - a_set
-            cand = _drive_balance(g, Separation(s_set, a_set, b_set), k)
+            cand = _drive_balance(g, Separation(s_set, a_set, b_set))
             if (
                 not cand.is_valid(g)
                 or len(cand.s) > k

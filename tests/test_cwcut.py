@@ -1,4 +1,4 @@
-"""Expression-DP bisection: tables, deletion splits, driver vs oracle."""
+"""Expression-DP bisection: root tables, deletion splits, driver vs oracle."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcut.cwcut import CutTable, DeletionSplit, _fill, cut_dp, solve_bisection_cwd
+from balcut.cwcut import _fill, _match_expression, _members, cut_dp, solve_bisection_cwd
 from balcut.graph import Bipartition, Graph, complete_graph, cut_size, cycle_graph, path_graph
 from balcut.oracle import brute_bisection
 from balcut.qexpr import (
@@ -30,10 +30,6 @@ from .conftest import (
 )
 
 
-def no_deletions(g):
-    return DeletionSplit.from_sides(g, (), ())
-
-
 def forest_plus_edges(rng, n, extra):
     """A random forest on n vertices (a tree with some edges dropped) plus
     up to ``extra`` further random edges."""
@@ -53,102 +49,73 @@ def forest_deletion_set(rng, g, explicit):
     return frozenset(d)
 
 
-# --------------------------------------------------------- DeletionSplit
+# --------------------------------------------------------------- cut_dp
 
 
 def test_deletion_split_validation():
-    with pytest.raises(ValueError):
-        DeletionSplit(frozenset({1, 2}), frozenset({1}), frozenset({1, 2}), 0)
-    with pytest.raises(ValueError):
-        DeletionSplit(frozenset({1, 2}), frozenset({1}), frozenset(), 0)
-    with pytest.raises(ValueError):
-        DeletionSplit(frozenset({1}), frozenset({1}), frozenset(), -1)
+    g = path_graph(3)
+    phi = Create(1, name=3)
+    with pytest.raises(ValueError, match="overlap"):
+        cut_dp(g, {1, 2}, {2}, phi)
+    with pytest.raises(ValueError, match="unknown"):
+        cut_dp(g, {1, 2}, {4}, phi)
 
 
-def test_deletion_split_counts_internal_edges():
-    k4 = complete_graph(4)
-    split = DeletionSplit.from_sides(k4, {1, 2}, {3, 4})
-    assert split.internal_cut == 4
-    assert DeletionSplit.from_sides(k4, {1, 2, 3, 4}, ()).internal_cut == 0
-
-
-# --------------------------------------------------------------- cut_dp
+def test_cut_dp_leaves_edges_inside_deletion_set_uncharged():
+    # the four crossing K4 edges between {1, 2} and {3, 4} are the driver's
+    # to add; vertex 5 only pays for its two edges into the opposite side
+    k5 = complete_graph(5)
+    counts, table = cut_dp(k5, {1, 2}, {3, 4}, Create(1, name=5))
+    assert counts == (1,)
+    assert table == {(1,): (2, frozenset({5})), (0,): (2, frozenset())}
 
 
 def test_k3_root_values():
     k3 = complete_graph(3)
-    phi = family_qexpr("clique", 3)
-    table = cut_dp(k3, frozenset(), no_deletions(k3), phi)
-    assert table.label_counts == (2, 1)
-    assert table.value((2, 1), (0, 0)) == 0
-    assert table.value((1, 0), (1, 1)) == 2
-    assert table.value((2, 0), (0, 1)) == 2
-    assert table.value((0, 0), (2, 1)) == 0
-    assert table.a_vertices((2, 1), (0, 0)) == frozenset({1, 2, 3})
-
-
-def test_root_vector_validation():
-    k3 = complete_graph(3)
-    table = cut_dp(k3, frozenset(), no_deletions(k3), family_qexpr("clique", 3))
-    with pytest.raises(ValueError):
-        table.value((2, 1, 0), (0, 0, 0))  # wrong length
-    with pytest.raises(ValueError):
-        table.value((3, 1), (0, 0))  # does not sum to the label counts
-    with pytest.raises(ValueError):
-        table.value((2, -1), (0, 2))
+    counts, table = cut_dp(k3, (), (), family_qexpr("clique", 3))
+    assert counts == (2, 1)
+    assert table[(2, 1)] == (0, frozenset({1, 2, 3}))
+    assert table[(1, 0)][0] == 2
+    assert table[(2, 0)][0] == 2
+    assert table[(0, 0)] == (0, frozenset())
 
 
 def test_cut_dp_rejects_non_full_join():
     g = Graph(2, [(1, 2)])
     doubled = Join(1, 2, Join(1, 2, Union(Create(1), Create(2))))
     with pytest.raises(ValueError, match="normalize"):
-        cut_dp(g, frozenset(), no_deletions(g), doubled)
-    fixed = normalize_qexpr(doubled)
-    table = cut_dp(g, frozenset(), no_deletions(g), fixed)
-    assert table.value((1, 0), (0, 1)) == 1
+        cut_dp(g, (), (), doubled)
+    _, table = cut_dp(g, (), (), normalize_qexpr(doubled))
+    assert table[(1, 0)][0] == 1
 
 
 def test_cut_dp_rejects_wrong_graph():
     phi = family_qexpr("path", 3)
     with pytest.raises(ValueError):
-        cut_dp(path_graph(4), frozenset(), no_deletions(path_graph(4)), phi)
+        cut_dp(path_graph(4), (), (), phi)
     # names hit the right vertices but the edges disagree
     bent = Graph(3, [(1, 3), (2, 3)])
     with pytest.raises(ValueError, match="edges"):
-        cut_dp(bent, frozenset(), no_deletions(bent), phi)
+        cut_dp(bent, (), (), phi)
 
 
 def test_cut_dp_split_must_match_deletion_set():
-    g = path_graph(3)
-    split = DeletionSplit.from_sides(g, {1}, ())
-    with pytest.raises(ValueError):
-        cut_dp(g, frozenset(), split, family_qexpr("path", 3))
+    # the expression covers all of the path, so no vertex may be deleted
+    with pytest.raises(ValueError, match="minus the deletion set"):
+        cut_dp(path_graph(3), {1}, (), family_qexpr("path", 3))
 
 
 def test_unnamed_leaves_use_isomorphism_search():
     # a nameless path expression against a differently-numbered path
     phi = Join(2, 3, Union(Join(1, 2, Union(Create(1), Create(2))), Create(3)))
     g = Graph(3, [(1, 3), (3, 2)])  # path 1-3-2
-    table = cut_dp(g, frozenset(), no_deletions(g), phi)
-    counts = table.label_counts
-    zero = tuple(0 for _ in counts)
+    counts, table = cut_dp(g, (), (), phi)
     assert sum(counts) == 3
-    assert table.value(counts, zero) == 0
-    assert table.value((1, 0, 0), (0, 1, 1)) == 1  # an end vertex alone
+    assert table[counts] == (0, frozenset({1, 2, 3}))
+    assert table[(1, 0, 0)][0] == 1  # an end vertex alone
     # and an impossible target graph is rejected
     with pytest.raises(ValueError, match="does not evaluate"):
-        cut_dp(complete_graph(3), frozenset(), no_deletions(complete_graph(3)), phi)
-
-
-def test_explicit_correspondence_checked():
-    phi = family_qexpr("path", 3)
-    g = path_graph(3)
-    ok = cut_dp(g, frozenset(), no_deletions(g), phi, correspondence={1: 3, 2: 2, 3: 1})
-    assert ok.value((2, 1, 0), (0, 0, 0)) == 0
-    with pytest.raises(ValueError):
-        cut_dp(g, frozenset(), no_deletions(g), phi, correspondence={1: 1, 2: 3, 3: 2})
-    with pytest.raises(ValueError):
-        cut_dp(g, frozenset(), no_deletions(g), phi, correspondence={1: 1, 2: 1, 3: 3})
+        cut_dp(complete_graph(3), (), (), phi)
 
 
 def test_deleted_edges_charged_at_leaves():
@@ -156,11 +123,10 @@ def test_deleted_edges_charged_at_leaves():
     # opposite the center
     g = Graph(4, [(1, 2), (1, 3), (1, 4)])
     phi = Union(Union(Create(1, name=2), Create(1, name=3)), Create(1, name=4))
-    split = DeletionSplit.from_sides(g, {1}, ())  # center on side A
-    table = cut_dp(g, frozenset({1}), split, phi)
-    assert table.value((3,), (0,)) == 0  # all leaves join the center
-    assert table.value((0,), (3,)) == 3  # all leaves across: three cut edges
-    assert table.value((1,), (2,)) == 2
+    _, table = cut_dp(g, {1}, (), phi)  # center on side A
+    assert table[(3,)] == (0, frozenset({2, 3, 4}))  # all leaves join the center
+    assert table[(0,)] == (3, frozenset())  # all leaves across: three cut edges
+    assert table[(1,)] == (2, frozenset({2}))
 
 
 def test_table_symmetry_under_side_swap():
@@ -171,21 +137,19 @@ def test_table_symmetry_under_side_swap():
     phi = forest_qexpr(g, d)
     ds = sorted(d)
     s1, s2 = {ds[0]}, set(ds[1:])
-    fwd = cut_dp(g, d, DeletionSplit.from_sides(g, s1, s2), phi)
-    rev = cut_dp(g, d, DeletionSplit.from_sides(g, s2, s1), phi)
-    counts, entries = fwd.tables[()]
-    for a_vec, entry in entries.items():
+    counts, fwd = cut_dp(g, s1, s2, phi)
+    _, rev = cut_dp(g, s2, s1, phi)
+    for a_vec, (value, _) in fwd.items():
         b_vec = tuple(n - x for n, x in zip(counts, a_vec))
-        assert entry.value == rev.value(b_vec, a_vec)
+        assert value == rev[b_vec][0]
 
 
 def test_root_marginal_and_join_monotonicity():
     g = random_connected_graph(8, 0.35, seed=3)
     d = minimum_feedback_vertex_set(g)
     phi = forest_qexpr(g, d)
-    split = DeletionSplit.from_sides(g, sorted(d)[: len(d) // 2], sorted(d)[len(d) // 2 :])
-    table = cut_dp(g, d, split, phi)
-    counts, entries = table.tables[()]
+    ds = sorted(d)
+    counts, entries = cut_dp(g, ds[: len(d) // 2], ds[len(d) // 2 :], phi)
     assert sum(counts) == g.n - len(d)
     # the table is complete: one entry per admissible vector
     expected = 1
@@ -195,19 +159,20 @@ def test_root_marginal_and_join_monotonicity():
     assert all(0 <= x <= c for a in entries for x, c in zip(a, counts))
 
     # a join only adds crossing edges: against the graph each side evaluates
-    # to, the table of a Join is pointwise at least its child's
+    # to (on g's vertex ids, with the isolated rest deleted), the table of a
+    # Join is pointwise at least its child's
+    def own_table(sub):
+        lg = eval_qexpr(sub)
+        h = Graph(g.n, [(lg.names[u], lg.names[v]) for u, v in lg.graph.edges()])
+        return cut_dp(h, (), frozenset(h.vertices) - set(lg.names.values()), sub)
+
     joins = [node for node in postorder(phi) if isinstance(node, Join)]
     assert joins
     for node in joins:
-        tables = []
-        for sub in (node, node.child):
-            h = eval_qexpr(sub).graph
-            identity = {v: v for v in h.vertices}
-            tables.append(cut_dp(h, (), no_deletions(h), sub, identity).tables[()])
-        (counts, parent), (child_counts, child) = tables
+        (counts, parent), (child_counts, child) = own_table(node), own_table(node.child)
         assert counts == child_counts and parent.keys() == child.keys()
-        for a_vec, entry in parent.items():
-            assert entry.value >= child[a_vec].value
+        for a_vec, (value, _) in parent.items():
+            assert value >= child[a_vec][0]
 
 
 def test_bounded_table_is_the_unbounded_one_restricted():
@@ -219,19 +184,22 @@ def test_bounded_table_is_the_unbounded_one_restricted():
     for _ in range(300):
         g = forest_plus_edges(rng, rng.randint(1, 14), rng.randint(0, 4))
         d = forest_deletion_set(rng, g, rng.random() < 0.5)
-        a0 = {v for v in d if rng.random() < 0.5}
-        split = DeletionSplit.from_sides(g, a0, d - a0)
-        full = cut_dp(g, d, split, forest_qexpr(g, d))
-        counts, entries = full.tables[()]
+        a0 = frozenset(v for v in d if rng.random() < 0.5)
+        phi = forest_qexpr(g, d)
+        counts, entries = cut_dp(g, a0, d - a0, phi)
         total = sum(counts)
         lo = rng.randint(-1, total + 1)
         hi = lo + rng.choice([0, 0, 1, rng.randint(0, total)])
         value_max = rng.choice([None, rng.randint(0, g.m)])
         bound = g.m if value_max is None else value_max
-        got = _fill(g, split, full.phi, full.q, full.correspondence, lo, hi, value_max)
-        assert got == (
+        corr = _match_expression(g, d, eval_qexpr(phi))
+        got_counts, got = _fill(g, a0, d - a0, phi, phi.q, corr, lo, hi, value_max)
+        assert (got_counts, {
+            a: (value, frozenset(corr[v] for v in _members(mask)))
+            for a, (value, mask) in got.items()
+        }) == (
             counts,
-            {a: e for a, e in entries.items() if lo <= sum(a) <= hi and e.value <= bound},
+            {a: e for a, e in entries.items() if lo <= sum(a) <= hi and e[0] <= bound},
         ), (sorted(g.edges()), sorted(a0), sorted(d - a0), lo, hi, value_max)
 
 
@@ -243,7 +211,7 @@ def test_edge_weights_rejected_at_entry():
     with pytest.raises(ValueError, match="edge weight"):
         solve_bisection_cwd(g, set(), family_qexpr("path", 4))
     with pytest.raises(ValueError, match="edge weight"):
-        cut_dp(g, frozenset(), no_deletions(g), family_qexpr("path", 4))
+        cut_dp(g, (), (), family_qexpr("path", 4))
 
 
 def test_cycle_with_deleted_vertex():
@@ -323,14 +291,11 @@ def reference_bisection(g, d_set, phi):
     best = None
     for bits in range(1 << len(ds)):
         a0 = frozenset(v for i, v in enumerate(ds) if bits >> i & 1)
-        split = DeletionSplit.from_sides(g, a0, d_set - a0)
-        table = cut_dp(g, d_set, split, normalize_qexpr(phi))
-        counts, entries = table.tables[()]
-        for a_vec, entry in entries.items():
+        internal = sum(1 for u, v in g.edges() if {u, v} <= d_set and (u in a0) != (v in a0))
+        _, entries = cut_dp(g, a0, d_set - a0, normalize_qexpr(phi))
+        for a_vec, (value, a_rest) in entries.items():
             if len(a0) + sum(a_vec) in totals:
-                b_vec = tuple(c - x for c, x in zip(counts, a_vec))
-                a = a0 | table.a_vertices(a_vec, b_vec)
-                rank = (split.internal_cut + entry.value, tuple(sorted(a)))
+                rank = (internal + value, tuple(sorted(a0 | a_rest)))
                 best = rank if best is None else min(best, rank)
     cut, a = best
     return Bipartition(a, frozenset(g.vertices) - frozenset(a)), cut

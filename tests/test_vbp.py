@@ -19,14 +19,14 @@ from balcut.graph import (
     star_graph,
 )
 from balcut.oracle import brute_vertex_bisection
-from balcut.td import LEAF, exact_treewidth_small, make_nice
+from balcut.td import LEAF, TreeDecomposition, exact_treewidth_small, make_nice
 from balcut.torso import build_trimmer
 from balcut.vbp import (
     SepEntry,
+    _drive_balance,
     _step,
     _steps,
     min_weight_separator,
-    rebalance_move,
     sep_dp,
     solve_vertex_bisection,
 )
@@ -134,6 +134,44 @@ def test_sep_dp_input_checks():
         sep_dp(g, ntd, -1)
     with pytest.raises(ValueError):
         sep_dp(cycle_graph(4), ntd, 2)  # decomposition of a different graph
+
+
+def min_fill_decomposition(g):
+    """The decomposition of the min-fill elimination order (fewest fill
+    edges, then lowest degree, then lowest vertex), built the way
+    exact_treewidth_small builds its own: node i holds the i-th eliminated
+    vertex with its neighbours at that point, and hangs off the node of the
+    first of them to be eliminated."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def fill(v):
+        nb = sorted(adj[v])
+        return sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
+
+    order, bags = [], {}
+    while adj:
+        v = min(adj, key=lambda v: (fill(v), len(adj[v]), v))
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+        order.append(v)
+        bags[len(order)] = {v} | nb
+    node = {v: i for i, v in enumerate(order, 1)}
+    edges = [
+        (i, min(node[u] for u in bags[i] - {v}) if len(bags[i]) > 1 else i + 1)
+        for i, v in enumerate(order[:-1], 1)
+    ]
+    return TreeDecomposition(bags, edges, root=len(order))
+
+
+def test_sep_dp_accepts_decompositions_over_4n_nodes():
+    # the nice form of a valid min-fill decomposition can exceed 4n nodes;
+    # it must give the same table as the exact decomposition's
+    g = random_graph(14, 0.3, seed=1407)
+    nice = make_nice(min_fill_decomposition(g))
+    assert len(nice.bags) > 4 * g.n
+    assert sep_dp(g, nice, 3).entries == build_table(g, 3).entries
 
 
 @pytest.mark.parametrize(
@@ -267,55 +305,36 @@ def test_min_weight_separator_single_component():
     assert len(sep.a) == 2
 
 
-# ------------------------------------------------------- rebalance_move
+# ------------------------------------------------------- _drive_balance
 
 
 def test_rebalance_already_balanced_path5():
     g = path_graph(5)
     sep = Separation(frozenset({3}), frozenset({1, 2}), frozenset({4, 5}))
-    assert rebalance_move(g, sep, 1) == sep
+    assert _drive_balance(g, sep) == sep
 
 
 def test_rebalance_already_balanced_path7():
     g = path_graph(7)
     sep = Separation(frozenset({4}), frozenset({1, 2, 3}), frozenset({5, 6, 7}))
-    assert rebalance_move(g, sep, 1) == sep
+    assert _drive_balance(g, sep) == sep
 
 
 def test_rebalance_moves_bfs_leaf_into_s():
-    g = path_graph(6)
-    sep = Separation(frozenset({3}), frozenset({1, 2}), frozenset({4, 5, 6}))
-    out = rebalance_move(g, sep, 2)
-    assert out == Separation(frozenset({3, 6}), frozenset({1, 2}), frozenset({4, 5}))
+    g = path_graph(7)
+    sep = Separation(frozenset({3}), frozenset({1, 2}), frozenset({4, 5, 6, 7}))
+    out = _drive_balance(g, sep)
+    assert out == Separation(frozenset({3, 7}), frozenset({1, 2}), frozenset({4, 5, 6}))
     assert count_components_after_removal(g, out.s) == count_components_after_removal(
         g, sep.s
     )
 
 
-def test_rebalance_tie_prefers_side_a():
-    g = Graph(4, [(1, 2), (3, 4)])
-    sep = Separation(frozenset(), frozenset({1, 2}), frozenset({3, 4}))
-    out = rebalance_move(g, sep, 2)
-    assert out == Separation(frozenset({2, 4}), frozenset({1}), frozenset({3}))
-
-
-def test_rebalance_budget_and_precondition_errors():
-    g = path_graph(5)
-    with pytest.raises(ValueError):
-        rebalance_move(g, Separation({2, 4}, {1, 3}, {5}), 1)  # |S| > k
-    g6 = path_graph(6)
-    lopsided = Separation(frozenset({1}), frozenset(range(2, 7)), frozenset())
-    with pytest.raises(ValueError):
-        rebalance_move(g6, lopsided, 2)  # gap 5 > moves + 1
-    with pytest.raises(ValueError):
-        rebalance_move(path_graph(3), Separation(set(), {1}, {2, 3}), 2)  # A-B edge
-
-
-def test_rebalance_all_singletons_error():
+def test_rebalance_singleton_hops_across():
     g = star_graph(3)  # center 1, leaves 2..4
-    sep = Separation(frozenset({1}), frozenset({2, 3}), frozenset({4}))
-    with pytest.raises(ValueError, match="singleton"):
-        rebalance_move(g, sep, 2)
+    sep = Separation(frozenset({1}), frozenset({2, 3, 4}), frozenset())
+    out = _drive_balance(g, sep)
+    assert out == Separation(frozenset({1}), frozenset({3, 4}), frozenset({2}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,18 +345,13 @@ def test_rebalance_keeps_component_count(n, seed):
     s = frozenset(rng.sample(range(1, n + 1), rng.randint(0, 2)))
     comps = connected_components(g, within=(v for v in g.vertices if v not in s))
     a, b = set(), set()
-    for comp in comps:  # greedily even out the sides
-        (a if len(a) <= len(b) else b).update(comp)
+    for comp in comps:  # random sides, often far from balanced
+        (a if rng.random() < 0.7 else b).update(comp)
     sep = Separation(s, a, b)
-    k = len(s) + 2
-    if abs(len(a) - len(b)) > k - len(s) + 1:
-        return
-    try:
-        out = rebalance_move(g, sep, k)
-    except ValueError:
-        return  # every component on the required side was a singleton
+    out = _drive_balance(g, sep)
     assert out.is_valid(g)
-    assert len(out.s) <= k
+    assert out.s >= sep.s
+    assert abs(len(out.a) - len(out.b)) <= 1
     assert count_components_after_removal(g, out.s) == len(comps)
 
 
