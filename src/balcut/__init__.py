@@ -39,7 +39,7 @@ from .reductions import (
     mcclique_to_bpart,
     weighted_to_unweighted,
 )
-from .td import TreeDecomposition, exact_treewidth_small
+from .td import TreeDecomposition, exact_treewidth_small, min_fill_decomposition
 from .torso import atorso, build_trimmer, minimal_st_separators, torso
 from .vbp import solve_vertex_bisection
 from .vcpart import solve_balanced_partition_vc
@@ -61,6 +61,7 @@ __all__ = [
     "solve_balanced_partition_vc",
     "TreeDecomposition",
     "exact_treewidth_small",
+    "min_fill_decomposition",
     "atorso",
     "torso",
     "build_trimmer",

@@ -1,4 +1,5 @@
-"""Tree decompositions: validation, nice form, and an exact-width search.
+"""Tree decompositions: validation, nice form, a min-fill heuristic of any
+size, and an exact-width search for small graphs.
 
 The nice form follows the usual leaf / introduce / forget / join vocabulary:
 leaves carry one-vertex bags, join children carry identical bags, and
@@ -338,11 +339,15 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
 
     A test-scale oracle: subsets of vertices are bitmasks, and the table
     entry for S is the best possible largest elimination degree over all
-    orderings that eliminate exactly S first.  Guarded at n <= 15.
+    orderings that eliminate exactly S first.  Guarded at n <= 15; larger
+    graphs take ``min_fill_decomposition``, an upper bound of any size.
     """
     n = g.n
     if n > 15:
-        raise ValueError(f"exact treewidth search handles n <= 15 (got {n})")
+        raise ValueError(
+            f"exact treewidth search handles n <= 15 (got {n}); "
+            "td.min_fill_decomposition(g) decomposes graphs of any size"
+        )
     if n == 0:
         return -1, TreeDecomposition({1: ()}, [])
 
@@ -406,28 +411,57 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
                 rev.append(v)
                 s = prev
                 break
-    order = rev[::-1]
+    return width, _elimination_decomposition(g, rev[::-1])
 
-    # build the decomposition by simulating the elimination
+
+def min_fill_decomposition(g: Graph) -> TreeDecomposition:
+    """The decomposition of a deterministic min-fill elimination order.
+
+    Each step eliminates the vertex whose neighbourhood lacks the fewest
+    edges (fill edges), ties broken by lowest degree, then lowest vertex
+    (Bodlaender & Koster, "Treewidth computations I. Upper bounds", 2010).
+    The width is an upper bound on the treewidth, often tight on sparse
+    graphs, and there is no size limit: O(n^2 * degree^2) time.  The
+    decomposition is built as ``exact_treewidth_small`` builds its own.
+    """
+    if g.n == 0:
+        return TreeDecomposition({1: ()}, [])
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def fill(v: int) -> int:
+        nb = sorted(adj[v])
+        return sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
+
+    order: List[int] = []
+    while adj:
+        v = min(adj, key=lambda v: (fill(v), len(adj[v]), v))
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+        order.append(v)
+    return _elimination_decomposition(g, order)
+
+
+def _elimination_decomposition(g: Graph, order: List[int]) -> TreeDecomposition:
+    """Simulate eliminating ``order`` (every vertex of g, n >= 1): node i
+    holds the i-th eliminated vertex with its neighbours at that point and
+    hangs off the node of the first of them to be eliminated; a bag without
+    such a neighbour hangs off the next node.  The root is the last node."""
     cur = {v: set(g.neighbors(v)) for v in g.vertices}
     bag_of: Dict[int, set] = {}
     for v in order:
-        nb = cur[v]
+        nb = cur.pop(v)
         bag_of[v] = {v} | nb
         for a in nb:
             cur[a].discard(v)
             cur[a] |= nb - {a}
-        del cur[v]
     pos = {v: i for i, v in enumerate(order)}
     node_of = {v: i + 1 for i, v in enumerate(order)}
     bags = {node_of[v]: bag_of[v] for v in order}
     edges = []
-    for i, v in enumerate(order):
+    for i, v in enumerate(order[:-1]):
         others = bag_of[v] - {v}
-        if others:
-            u = min(others, key=pos.get)
-            edges.append((node_of[v], node_of[u]))
-        elif i + 1 < n:
-            edges.append((node_of[v], node_of[order[i + 1]]))
-    td = TreeDecomposition(bags, edges, root=node_of[order[-1]])
-    return width, td
+        nxt = min(others, key=pos.get) if others else order[i + 1]
+        edges.append((node_of[v], node_of[nxt]))
+    return TreeDecomposition(bags, edges, root=node_of[order[-1]])

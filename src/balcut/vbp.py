@@ -12,13 +12,17 @@ first, then the lexicographically smallest separator, then the smallest
 A-side.  A caller that will only query small separators or light A-sides
 passes ``value_max`` / ``ell_max``, and entries beyond them are never made.
 
-On top of the table sit the two solvers: ``min_weight_separator`` answers a
-single (c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
+On top of the table sit the two solvers, both over min-fill decompositions
+(``td.min_fill_decomposition``): ``min_weight_separator`` answers a single
+(c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
 contracts the graph around the small separators between them, runs the
 table on the contracted graph with pre-image sizes as weights, and
 rebalances the pulled-back result by moving BFS leaves of the heavier side
 into the separator (``_drive_balance``).  Terminal sets that contract to
-the same weighted graph share one table within a call.
+the same weighted graph share one table within a call.  The contraction
+only bounds the width, and the table is exact on any decomposition, so as
+soon as one contracted graph is no narrower than G the driver runs a single
+table on G itself instead.
 """
 
 from collections import defaultdict, deque
@@ -33,7 +37,15 @@ from .graph import (
     connected_components,
     count_components_after_removal,
 )
-from .td import LEAF, JOIN, NiceTreeDecomposition, exact_treewidth_small, make_nice
+from .td import (
+    JOIN,
+    LEAF,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    exact_treewidth_small,  # unused here; perfbench/tracing.py patches this name
+    make_nice,
+    min_fill_decomposition,
+)
 from .torso import build_trimmer
 
 Partition = Tuple[FrozenSet[int], ...]
@@ -257,15 +269,15 @@ def min_weight_separator(g: Graph, c: int, s: int) -> Optional[Separation]:
 
     ``c`` may be 1 (a separator whose removal leaves a single component,
     with A one union of components); the balanced-separator driver only
-    ever asks for c >= 2.  Desk scale: the decomposition comes from the
-    exact treewidth search.  The table is filled with ``ell_max=s``.
+    ever asks for c >= 2.  The decomposition is the min-fill one, so any
+    size is accepted; the time grows with its width.  The table is filled
+    with ``ell_max=s``.
     """
     if c < 1:
         raise ValueError("component count must be at least 1")
     if not 1 <= s <= g.total_vertex_weight:
         raise ValueError("target weight outside 1..total weight")
-    _, td = exact_treewidth_small(g)
-    table = sep_dp(g, make_nice(td), c, ell_max=s)
+    table = sep_dp(g, make_nice(min_fill_decomposition(g)), c, ell_max=s)
     entry = table.query(c, s)
     if entry is None:
         return None
@@ -320,19 +332,23 @@ def _drive_balance(g: Graph, sep: Separation) -> Separation:
 def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
     """A c-component balanced separator of size at most k, or None.
 
-    Tries every terminal set T of size c: contracts the graph around the
-    small separators between the terminals, weights each contracted vertex
-    by its pre-image size, looks up the separator table of that weighted
-    graph, scans the window of A-weights around half the graph, and pulls
-    accepted candidates back through T's own contraction for rebalancing.
+    Looks up separator tables, scans the window of A-weights around half
+    the graph, and pulls accepted candidates back to G for rebalancing.
     Among all candidates the smallest separator wins (ties by vertex order,
-    then by A-side).
+    then by A-side).  Every table is filled with ``value_max=k`` and
+    ``ell_max`` the top of the A-weight window; entries beyond either could
+    never be accepted.
 
-    The tables live in one dict for the duration of the call, keyed by the
-    weighted contracted graph, so decomposition and DP run once per
-    distinct contracted graph rather than once per terminal set.  Each is
-    filled with ``value_max=k`` and ``ell_max`` the top of the A-weight
-    window; entries beyond either could never be accepted.
+    The tables come from one of two places.  Terminal sets T of size c are
+    walked in order, each contracted around the small separators between
+    its terminals, with every contracted vertex weighted by its pre-image
+    size.  The contraction only serves to bound the treewidth; the table is
+    exact on any decomposition, and the identity map is a valid trimmer for
+    every T.  So at the first distinct weighted trimmed graph whose min-fill
+    width is no smaller than G's own, the walk stops and one table on G
+    itself, pulled back by the identity, replaces them all.  Otherwise every
+    T is pulled back through its own contraction, and the tables are shared
+    by terminal sets whose weighted trimmed graphs coincide.
     """
     if k < 0:
         raise ValueError("separator budget must be non-negative")
@@ -341,19 +357,39 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
     if not g.is_unit_vertex_weighted():
         raise ValueError("vertex bisection is defined on unit-weight graphs")
     n = g.n
-    best: Optional[Tuple[tuple, Separation]] = None
     s_lo = max(0, (n - 1 - 2 * k) // 2)  # integer ceil of n/2 - 1 - k
     s_hi = min(n, (n + 2 * k) // 2)
-    tables: Dict[tuple, SepTable] = {}  # weighted trimmed graph -> its table
+
+    def table_of(gw: Graph, td: TreeDecomposition) -> SepTable:
+        return sep_dp(gw, make_nice(td), c, value_max=k, ell_max=s_hi)
+
+    td_g = min_fill_decomposition(g)
+    trimmed = []  # (pull-back, weighted trimmed graph key) per terminal set
+    narrower: Dict[tuple, Tuple[Graph, TreeDecomposition]] = {}  # key -> graph, decomposition
     for terminals in combinations(range(1, n + 1), c):
         tr = build_trimmer(g, k, terminals)
         weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
         gw = Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights)
-        table = tables.get(gw.key())
-        if table is None:
-            _, td = exact_treewidth_small(gw)
-            table = sep_dp(gw, make_nice(td), c, value_max=k, ell_max=s_hi)
-            tables[gw.key()] = table
+        if gw.key() not in narrower:
+            td = min_fill_decomposition(gw)
+            if td.width >= td_g.width:
+                return _best_candidate(g, k, c, s_lo, s_hi, [(frozenset, table_of(g, td_g))])
+            narrower[gw.key()] = (gw, td)
+        trimmed.append((tr.pull_back, gw.key()))
+
+    tables = {key: table_of(gw, td) for key, (gw, td) in narrower.items()}
+    return _best_candidate(
+        g, k, c, s_lo, s_hi, [(pull_back, tables[key]) for pull_back, key in trimmed]
+    )
+
+
+def _best_candidate(g: Graph, k: int, c: int, s_lo: int, s_hi: int, sources):
+    """The best rebalanced candidate over (pull-back, table) pairs: every
+    entry in the A-weight window whose imbalance the budget left after its
+    separator can still absorb, pulled back to G, rebalanced and checked."""
+    n = g.n
+    best: Optional[Tuple[tuple, Separation]] = None
+    for pull_back, table in sources:
         for s in range(s_lo, s_hi + 1):
             entry = table.query(c, s)
             if entry is None:
@@ -361,8 +397,8 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
             lam_b = n - s - entry.value
             if abs(s - lam_b) > k - entry.value + 1:
                 continue
-            s_set = tr.pull_back(entry.s_set)
-            a_set = tr.pull_back(entry.a_set)
+            s_set = pull_back(entry.s_set)
+            a_set = pull_back(entry.a_set)
             b_set = frozenset(g.vertices) - s_set - a_set
             cand = _drive_balance(g, Separation(s_set, a_set, b_set))
             if (

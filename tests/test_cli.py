@@ -52,6 +52,15 @@ def test_vbisect_reports_infeasible(c6, capsys):
     assert "infeasible" in err
 
 
+def test_vbisect_past_the_exact_treewidth_limit(tmp_path, capsys):
+    n = 16
+    gf = tmp_path / "path.gr"
+    gf.write_text(f"p tw {n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    code, out, _ = run_cli(capsys, "vbisect", "--graph", str(gf), "--k", "1")
+    assert code == 0
+    assert out.splitlines()[:1] == ["sep 1"]
+
+
 def test_bisect_with_automatic_deletion_set(c6, capsys):
     code, out, _ = run_cli(capsys, "bisect", "--graph", c6)
     assert code == 0

@@ -8,6 +8,7 @@ from balcut.td import (
     TreeDecomposition,
     exact_treewidth_small,
     make_nice,
+    min_fill_decomposition,
     validate_td,
 )
 
@@ -152,6 +153,44 @@ def test_exact_treewidth_guard_message():
     with pytest.raises(ValueError, match=r"n <= 15 \(got 16\)") as info:
         exact_treewidth_small(Graph(16))
     assert ".td" not in str(info.value)
+
+
+def test_exact_treewidth_guard_names_the_way_around():
+    with pytest.raises(ValueError, match="min_fill_decomposition"):
+        exact_treewidth_small(path_graph(16))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 20, 40])
+def test_min_fill_decomposition_is_valid(n):
+    # sparse p leaves most graphs disconnected, dense p makes wide ones
+    for seed, p in enumerate((0.05, 0.15, 0.3, 0.6)):
+        g = random_graph(n, p, seed=100 * n + seed)
+        td = min_fill_decomposition(g)
+        assert validate_td(g, td), (n, p)
+        assert make_nice(td).validate(g)
+
+
+def test_min_fill_decomposition_of_the_empty_graph():
+    td = min_fill_decomposition(Graph(0))
+    assert td.width == -1 and td.bags == exact_treewidth_small(Graph(0))[1].bags
+
+
+def test_min_fill_width_bounds_the_treewidth():
+    for n in range(1, 13):
+        for seed in range(6):
+            g = random_graph(n, 0.1 + 0.1 * seed, seed=31 * n + seed)
+            assert min_fill_decomposition(g).width >= exact_treewidth_small(g)[0]
+
+
+@pytest.mark.parametrize(
+    "g,expect",
+    [(path_graph(40), 1), (cycle_graph(30), 2), (grid_graph(5, 5), 5), (star_graph(20), 1)],
+)
+def test_min_fill_widths_and_determinism(g, expect):
+    td = min_fill_decomposition(g)
+    assert td.width == expect
+    again = min_fill_decomposition(g)
+    assert (again.bags, again.tree, again.root) == (td.bags, td.tree, td.root)
 
 
 def test_exact_treewidth_isolated_vertex_invariant():

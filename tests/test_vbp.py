@@ -19,7 +19,7 @@ from balcut.graph import (
     star_graph,
 )
 from balcut.oracle import brute_vertex_bisection
-from balcut.td import LEAF, TreeDecomposition, exact_treewidth_small, make_nice
+from balcut.td import LEAF, exact_treewidth_small, make_nice, min_fill_decomposition
 from balcut.torso import build_trimmer
 from balcut.vbp import (
     SepEntry,
@@ -31,7 +31,12 @@ from balcut.vbp import (
     solve_vertex_bisection,
 )
 
-from .conftest import all_graphs_up_to_iso, random_connected_graph, random_graph
+from .conftest import (
+    all_graphs_up_to_iso,
+    grid_graph,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def build_table(g, c_max):
@@ -134,35 +139,6 @@ def test_sep_dp_input_checks():
         sep_dp(g, ntd, -1)
     with pytest.raises(ValueError):
         sep_dp(cycle_graph(4), ntd, 2)  # decomposition of a different graph
-
-
-def min_fill_decomposition(g):
-    """The decomposition of the min-fill elimination order (fewest fill
-    edges, then lowest degree, then lowest vertex), built the way
-    exact_treewidth_small builds its own: node i holds the i-th eliminated
-    vertex with its neighbours at that point, and hangs off the node of the
-    first of them to be eliminated."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-
-    def fill(v):
-        nb = sorted(adj[v])
-        return sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
-
-    order, bags = [], {}
-    while adj:
-        v = min(adj, key=lambda v: (fill(v), len(adj[v]), v))
-        nb = adj.pop(v)
-        for u in nb:
-            adj[u] |= nb - {u}
-            adj[u].discard(v)
-        order.append(v)
-        bags[len(order)] = {v} | nb
-    node = {v: i for i, v in enumerate(order, 1)}
-    edges = [
-        (i, min(node[u] for u in bags[i] - {v}) if len(bags[i]) > 1 else i + 1)
-        for i, v in enumerate(order[:-1], 1)
-    ]
-    return TreeDecomposition(bags, edges, root=len(order))
 
 
 def test_sep_dp_accepts_decompositions_over_4n_nodes():
@@ -287,6 +263,12 @@ def test_min_weight_separator_infeasible():
     assert min_weight_separator(path_graph(3), 2, 3) is None
 
 
+def test_min_weight_separator_past_the_exact_treewidth_limit():
+    sep = min_weight_separator(path_graph(40), 2, 20)
+    assert sep.s == frozenset({20}) and len(sep.a) == 20
+    assert sep.is_valid(path_graph(40))
+
+
 def test_min_weight_separator_argument_checks():
     g = path_graph(3)
     with pytest.raises(ValueError):
@@ -385,8 +367,23 @@ def test_bisection_argument_checks():
 
 
 def test_bisection_beyond_the_exact_treewidth_limit():
-    with pytest.raises(ValueError, match="n <= 15"):
-        solve_vertex_bisection(path_graph(16), 1, 2)
+    """Past n = 15 the driver still answers exactly: a path splits at one
+    middle vertex, and the 4x4 grid needs a diagonal of 4."""
+    for g, value in [(path_graph(16), 1), (path_graph(40), 1), (grid_graph(4, 4), 4)]:
+        sol = solve_vertex_bisection(g, value, 2)
+        assert len(sol.s) == value
+        assert sol.is_valid(g) and abs(len(sol.a) - len(sol.b)) <= 1
+        assert count_components_after_removal(g, sol.s) == 2
+        assert solve_vertex_bisection(g, value - 1, 2) is None
+
+
+def test_bisection_on_the_5x5_grid():
+    # about 1 s on a 2-core x86 sandbox (Python 3.11), one table on the grid
+    g = grid_graph(5, 5)
+    sol = solve_vertex_bisection(g, 5, 2)
+    assert sol is not None and len(sol.s) <= 5
+    assert sol.is_valid(g) and abs(len(sol.a) - len(sol.b)) <= 1
+    assert count_components_after_removal(g, sol.s) == 2
 
 
 def test_bisection_deterministic():
@@ -395,22 +392,8 @@ def test_bisection_deterministic():
     assert first == solve_vertex_bisection(g, 3, 2)
 
 
-@pytest.mark.parametrize(
-    "n, k, c, distinct", [(12, 2, 2, 2), (9, 3, 3, 1), (8, 1, 2, 6)]
-)
-def test_one_table_per_distinct_trimmed_graph(monkeypatch, n, k, c, distinct):
-    """The driver fills one separator table per distinct weighted trimmed
-    graph, not one per terminal set, and still matches the oracle.  On the
-    8-cycle with k = 1 the 6 weighted graphs share 2 shapes, so a table
-    keyed by shape alone would be reused across different weights."""
-    g = cycle_graph(n)
-    trimmed = set()
-    for terminals in itertools.combinations(g.vertices, c):
-        tr = build_trimmer(g, k, terminals)
-        weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
-        trimmed.add(Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights))
-    assert len(trimmed) == distinct
-
+def _sep_dp_calls(monkeypatch):
+    """Record the graph of every separator table the driver fills."""
     calls = []
     real = vbp.sep_dp
 
@@ -419,9 +402,51 @@ def test_one_table_per_distinct_trimmed_graph(monkeypatch, n, k, c, distinct):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(vbp, "sep_dp", counting)
-    got = solve_vertex_bisection(g, k, c)
-    assert len(calls) == distinct and set(calls) == trimmed
+    return calls
 
+
+def _weighted_trimmed_graphs(g, k, c):
+    """The weighted trimmed graph of every terminal set, in driver order."""
+    out = []
+    for terminals in itertools.combinations(g.vertices, c):
+        tr = build_trimmer(g, k, terminals)
+        weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
+        out.append(Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights))
+    return out
+
+
+@pytest.mark.parametrize("n, k, c", [(12, 2, 2), (9, 3, 3), (8, 1, 2)])
+def test_narrow_graph_fills_one_table_on_itself(monkeypatch, n, k, c):
+    """A cycle is no wider than its trimmed graphs, so the driver fills a
+    single table, on the cycle itself, and still matches the oracle."""
+    g = cycle_graph(n)
+    width = min_fill_decomposition(g).width
+    assert any(
+        min_fill_decomposition(gw).width >= width for gw in _weighted_trimmed_graphs(g, k, c)
+    )
+    calls = _sep_dp_calls(monkeypatch)
+    got = solve_vertex_bisection(g, k, c)
+    assert calls == [g]
+    assert got == brute_vertex_bisection(g, k, c=c).witness
+
+
+def test_wide_graph_fills_one_table_per_distinct_trimmed_graph(monkeypatch):
+    """Every trimmed graph of this seeded graph is narrower than the graph,
+    so the driver walks all 36 terminal sets.  It fills one separator table
+    per distinct weighted trimmed graph, not one per terminal set, and
+    still matches the oracle.  Its 5 weighted graphs share 4 shapes, so a
+    table keyed by shape alone would be reused across different weights."""
+    g, k, c = random_connected_graph(9, 0.35, seed=18732), 1, 2
+    trimmed = _weighted_trimmed_graphs(g, k, c)
+    width = min_fill_decomposition(g).width
+    assert all(min_fill_decomposition(gw).width < width for gw in trimmed)
+    distinct = set(trimmed)
+    assert (len(trimmed), len(distinct)) == (36, 5)
+    assert len({gw.key()[:2] for gw in distinct}) == 4
+
+    calls = _sep_dp_calls(monkeypatch)
+    got = solve_vertex_bisection(g, k, c)
+    assert len(calls) == len(distinct) and set(calls) == distinct
     assert got == brute_vertex_bisection(g, k, c=c).witness
 
 
