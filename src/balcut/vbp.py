@@ -12,22 +12,17 @@ first, then the lexicographically smallest separator, then the smallest
 A-side.  A caller that will only query small separators or light A-sides
 passes ``value_max`` / ``ell_max``, and entries beyond them are never made.
 
-On top of the table sit the two solvers, both over min-fill decompositions
-(``td.min_fill_decomposition``): ``min_weight_separator`` answers a single
-(c, s) query, and ``solve_vertex_bisection`` guesses terminal sets,
-contracts the graph around the small separators between them, runs the
-table on the contracted graph with pre-image sizes as weights, and
-rebalances the pulled-back result by moving BFS leaves of the heavier side
-into the separator (``_drive_balance``).  Terminal sets that contract to
-the same weighted graph share one table within a call.  The contraction
-only bounds the width, and the table is exact on any decomposition, so as
-soon as one contracted graph is no narrower than G the driver runs a single
-table on G itself instead.
+On top of the table sit the two solvers, both over one min-fill
+decomposition of the whole graph (``td.min_fill_decomposition``):
+``min_weight_separator`` answers a single (c, s) query, and
+``solve_vertex_bisection`` scans a window of A-weights around half the
+graph and rebalances each accepted entry by moving BFS leaves of the
+heavier side into the separator (``_drive_balance``).
 """
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import inf
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -41,12 +36,11 @@ from .td import (
     JOIN,
     LEAF,
     NiceTreeDecomposition,
-    TreeDecomposition,
     exact_treewidth_small,  # unused here; perfbench/tracing.py patches this name
     make_nice,
     min_fill_decomposition,
 )
-from .torso import build_trimmer
+from .torso import build_trimmer  # unused here; perfbench/tracing.py patches this name
 
 Partition = Tuple[FrozenSet[int], ...]
 
@@ -332,23 +326,20 @@ def _drive_balance(g: Graph, sep: Separation) -> Separation:
 def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
     """A c-component balanced separator of size at most k, or None.
 
-    Looks up separator tables, scans the window of A-weights around half
-    the graph, and pulls accepted candidates back to G for rebalancing.
-    Among all candidates the smallest separator wins (ties by vertex order,
-    then by A-side).  Every table is filled with ``value_max=k`` and
-    ``ell_max`` the top of the A-weight window; entries beyond either could
-    never be accepted.
+    Fills one separator table on G, scans the window of A-weights around
+    half the graph, and rebalances every accepted entry.  Among all
+    candidates the smallest separator wins (ties by vertex order, then by
+    A-side).  The table is filled with ``value_max=k`` and ``ell_max`` the
+    top of the A-weight window; entries beyond either could never be
+    accepted.
 
-    The tables come from one of two places.  Terminal sets T of size c are
-    walked in order, each contracted around the small separators between
-    its terminals, with every contracted vertex weighted by its pre-image
-    size.  The contraction only serves to bound the treewidth; the table is
-    exact on any decomposition, and the identity map is a valid trimmer for
-    every T.  So at the first distinct weighted trimmed graph whose min-fill
-    width is no smaller than G's own, the walk stops and one table on G
-    itself, pulled back by the identity, replaces them all.  Otherwise every
-    T is pulled back through its own contraction, and the tables are shared
-    by terminal sets whose weighted trimmed graphs coincide.
+    The paper guesses every terminal set T of size c and contracts G
+    around the small separators between its terminals (``build_trimmer``),
+    which only serves to bound the treewidth of the graph the table is
+    filled on.  The table is exact on any tree decomposition, and the
+    identity map is a valid contraction for every T, so the table on G
+    itself holds, for every A-weight, a separator no heavier than any the
+    contracted graphs' tables could pull back.
     """
     if k < 0:
         raise ValueError("separator budget must be non-negative")
@@ -359,56 +350,25 @@ def solve_vertex_bisection(g: Graph, k: int, c: int) -> Optional[Separation]:
     n = g.n
     s_lo = max(0, (n - 1 - 2 * k) // 2)  # integer ceil of n/2 - 1 - k
     s_hi = min(n, (n + 2 * k) // 2)
-
-    def table_of(gw: Graph, td: TreeDecomposition) -> SepTable:
-        return sep_dp(gw, make_nice(td), c, value_max=k, ell_max=s_hi)
-
-    td_g = min_fill_decomposition(g)
-    trimmed = []  # (pull-back, weighted trimmed graph key) per terminal set
-    narrower: Dict[tuple, Tuple[Graph, TreeDecomposition]] = {}  # key -> graph, decomposition
-    for terminals in combinations(range(1, n + 1), c):
-        tr = build_trimmer(g, k, terminals)
-        weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
-        gw = Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights)
-        if gw.key() not in narrower:
-            td = min_fill_decomposition(gw)
-            if td.width >= td_g.width:
-                return _best_candidate(g, k, c, s_lo, s_hi, [(frozenset, table_of(g, td_g))])
-            narrower[gw.key()] = (gw, td)
-        trimmed.append((tr.pull_back, gw.key()))
-
-    tables = {key: table_of(gw, td) for key, (gw, td) in narrower.items()}
-    return _best_candidate(
-        g, k, c, s_lo, s_hi, [(pull_back, tables[key]) for pull_back, key in trimmed]
-    )
-
-
-def _best_candidate(g: Graph, k: int, c: int, s_lo: int, s_hi: int, sources):
-    """The best rebalanced candidate over (pull-back, table) pairs: every
-    entry in the A-weight window whose imbalance the budget left after its
-    separator can still absorb, pulled back to G, rebalanced and checked."""
-    n = g.n
+    table = sep_dp(g, make_nice(min_fill_decomposition(g)), c, value_max=k, ell_max=s_hi)
     best: Optional[Tuple[tuple, Separation]] = None
-    for pull_back, table in sources:
-        for s in range(s_lo, s_hi + 1):
-            entry = table.query(c, s)
-            if entry is None:
-                continue
-            lam_b = n - s - entry.value
-            if abs(s - lam_b) > k - entry.value + 1:
-                continue
-            s_set = pull_back(entry.s_set)
-            a_set = pull_back(entry.a_set)
-            b_set = frozenset(g.vertices) - s_set - a_set
-            cand = _drive_balance(g, Separation(s_set, a_set, b_set))
-            if (
-                not cand.is_valid(g)
-                or len(cand.s) > k
-                or abs(len(cand.a) - len(cand.b)) > 1
-                or count_components_after_removal(g, cand.s) != c
-            ):
-                raise RuntimeError("internal error: candidate failed validation")
-            rank = (len(cand.s), tuple(sorted(cand.s)), tuple(sorted(cand.a)))
-            if best is None or rank < best[0]:
-                best = (rank, cand)
+    for s in range(s_lo, s_hi + 1):
+        entry = table.query(c, s)
+        if entry is None:
+            continue
+        lam_b = n - s - entry.value
+        if abs(s - lam_b) > k - entry.value + 1:
+            continue
+        b_set = frozenset(g.vertices) - entry.s_set - entry.a_set
+        cand = _drive_balance(g, Separation(entry.s_set, entry.a_set, b_set))
+        if (
+            not cand.is_valid(g)
+            or len(cand.s) > k
+            or abs(len(cand.a) - len(cand.b)) > 1
+            or count_components_after_removal(g, cand.s) != c
+        ):
+            raise RuntimeError("internal error: candidate failed validation")
+        rank = (len(cand.s), tuple(sorted(cand.s)), tuple(sorted(cand.a)))
+        if best is None or rank < best[0]:
+            best = (rank, cand)
     return best[1] if best else None

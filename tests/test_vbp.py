@@ -20,7 +20,6 @@ from balcut.graph import (
 )
 from balcut.oracle import brute_vertex_bisection
 from balcut.td import LEAF, exact_treewidth_small, make_nice, min_fill_decomposition
-from balcut.torso import build_trimmer
 from balcut.vbp import (
     SepEntry,
     _drive_balance,
@@ -392,8 +391,20 @@ def test_bisection_deterministic():
     assert first == solve_vertex_bisection(g, 3, 2)
 
 
-def _sep_dp_calls(monkeypatch):
-    """Record the graph of every separator table the driver fills."""
+@pytest.mark.parametrize(
+    "g, k, c",
+    [
+        (cycle_graph(12), 2, 2),
+        (cycle_graph(9), 3, 3),
+        (cycle_graph(8), 1, 2),
+        (random_connected_graph(9, 0.35, seed=18732), 1, 2),
+    ],
+    ids=["cycle12-2-2", "cycle9-3-3", "cycle8-1-2", "gnp9-1-2"],
+)
+def test_one_table_on_the_graph_itself(monkeypatch, g, k, c):
+    """The driver fills a single separator table, on G itself, and its
+    witness is the oracle's.  The seeded graph is wider than each of its
+    36 trimmed graphs; one table on it is still exact."""
     calls = []
     real = vbp.sep_dp
 
@@ -402,51 +413,8 @@ def _sep_dp_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(vbp, "sep_dp", counting)
-    return calls
-
-
-def _weighted_trimmed_graphs(g, k, c):
-    """The weighted trimmed graph of every terminal set, in driver order."""
-    out = []
-    for terminals in itertools.combinations(g.vertices, c):
-        tr = build_trimmer(g, k, terminals)
-        weights = {v: len(tr.phi_inv[v]) for v in tr.g_star.vertices}
-        out.append(Graph(tr.g_star.n, tr.g_star.edges(), vertex_weights=weights))
-    return out
-
-
-@pytest.mark.parametrize("n, k, c", [(12, 2, 2), (9, 3, 3), (8, 1, 2)])
-def test_narrow_graph_fills_one_table_on_itself(monkeypatch, n, k, c):
-    """A cycle is no wider than its trimmed graphs, so the driver fills a
-    single table, on the cycle itself, and still matches the oracle."""
-    g = cycle_graph(n)
-    width = min_fill_decomposition(g).width
-    assert any(
-        min_fill_decomposition(gw).width >= width for gw in _weighted_trimmed_graphs(g, k, c)
-    )
-    calls = _sep_dp_calls(monkeypatch)
     got = solve_vertex_bisection(g, k, c)
     assert calls == [g]
-    assert got == brute_vertex_bisection(g, k, c=c).witness
-
-
-def test_wide_graph_fills_one_table_per_distinct_trimmed_graph(monkeypatch):
-    """Every trimmed graph of this seeded graph is narrower than the graph,
-    so the driver walks all 36 terminal sets.  It fills one separator table
-    per distinct weighted trimmed graph, not one per terminal set, and
-    still matches the oracle.  Its 5 weighted graphs share 4 shapes, so a
-    table keyed by shape alone would be reused across different weights."""
-    g, k, c = random_connected_graph(9, 0.35, seed=18732), 1, 2
-    trimmed = _weighted_trimmed_graphs(g, k, c)
-    width = min_fill_decomposition(g).width
-    assert all(min_fill_decomposition(gw).width < width for gw in trimmed)
-    distinct = set(trimmed)
-    assert (len(trimmed), len(distinct)) == (36, 5)
-    assert len({gw.key()[:2] for gw in distinct}) == 4
-
-    calls = _sep_dp_calls(monkeypatch)
-    got = solve_vertex_bisection(g, k, c)
-    assert len(calls) == len(distinct) and set(calls) == distinct
     assert got == brute_vertex_bisection(g, k, c=c).witness
 
 
