@@ -1,10 +1,10 @@
 """balcut: exact solvers for balanced graph partitioning.
 
 The package bundles four exact solvers (separator DP over tree
-decompositions, a trimmer-based vertex-bisection driver, a bisection DP
-over cliquewidth expressions, and a vertex-cover partitioner for
-balanced partitioning), brute-force reference oracles, and a family of
-reduction-based instance generators.
+decompositions, a vertex-bisection driver that fills one separator table
+on the whole graph, a bisection DP over cliquewidth expressions, and a
+vertex-cover partitioner for balanced partitioning), brute-force
+reference oracles, and a family of reduction-based instance generators.
 """
 
 from .graph import (

@@ -385,13 +385,14 @@ def _cmd_verify(args) -> int:
                 return EXIT_INFEASIBLE
         print(f"valid: sep {sol.value}")
         return EXIT_FOUND
-    d = max(sol.parts.values()) + 1
+    used = set(sol.parts.values())
+    if used != set(range(len(used))):
+        print("invalid: part numbers must be contiguous from 0")
+        return EXIT_INFEASIBLE
+    d = max(len(used), 1)  # the empty graph has one empty part
     groups: List[List[int]] = [[] for _ in range(d)]
     for v, p in sol.parts.items():
         groups[p].append(v)
-    if any(not grp for grp in groups):
-        print("invalid: part numbers must be contiguous from 0")
-        return EXIT_INFEASIBLE
     dp = DPartition(groups)
     if not dp.is_valid(g):
         cap = -(-g.n // d)

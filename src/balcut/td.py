@@ -4,7 +4,8 @@ size, and an exact-width search for small graphs.
 The nice form follows the usual leaf / introduce / forget / join vocabulary:
 leaves carry one-vertex bags, join children carry identical bags, and
 introduce/forget steps change the bag by exactly one vertex.  Conversion
-keeps the width and gives O(width * n) nodes.
+keeps the width and gives O(width) nodes per input bag, so O(width * n) on
+the decompositions built here, which have at most n bags.
 """
 
 from __future__ import annotations
@@ -171,127 +172,30 @@ class NiceTreeDecomposition(TreeDecomposition):
         return validate_td(g, self)
 
 
-def _simplified_copy(td: TreeDecomposition):
-    """Merge adjacent bags where one contains the other until none remain.
-    Returns (bags, adjacency) with at most one node per private vertex."""
-    bags = {x: set(b) for x, b in td.bags.items()}
-    adj = {x: set(td.tree[x]) for x in td.bags}
-    changed = True
-    while changed and len(bags) > 1:
-        changed = False
-        for x in sorted(bags):
-            absorber = None
-            for y in sorted(adj[x]):
-                if bags[x] <= bags[y]:
-                    absorber = y
-                    break
-                if bags[y] <= bags[x]:
-                    # pull y into x instead
-                    absorber = None
-                    for z in adj[y]:
-                        if z != x:
-                            adj[z].discard(y)
-                            adj[z].add(x)
-                            adj[x].add(z)
-                    adj[x].discard(y)
-                    del bags[y]
-                    del adj[y]
-                    changed = True
-                    break
-            else:
-                continue
-            if absorber is not None:
-                for z in adj[x]:
-                    if z != absorber:
-                        adj[z].discard(x)
-                        adj[z].add(absorber)
-                        adj[absorber].add(z)
-                adj[absorber].discard(x)
-                del bags[x]
-                del adj[x]
-                changed = True
-            break
-    return bags, adj
-
-
-def _reduce_branching(bags, parent, children) -> None:
-    """Re-hang children of branching nodes under childless descendants of
-    their siblings whenever every bag on the walk covers the moved child's
-    interface with its old parent.  This keeps the decomposition valid and
-    turns star-shaped bag trees (which elimination orders love to produce)
-    into paths, avoiding join blow-up in the nice form."""
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(children):
-            kids = children[x]
-            if len(kids) < 2:
-                continue
-            for ci in sorted(kids):
-                interface = bags[ci] & bags[x]
-                target = None
-                for cj in sorted(kids):
-                    if cj == ci:
-                        continue
-                    stack = [cj]
-                    while stack:
-                        y = stack.pop()
-                        if not interface <= bags[y]:
-                            continue  # path through y would break a subtree
-                        if not children[y]:
-                            target = y
-                            break
-                        for z in sorted(children[y], reverse=True):
-                            stack.append(z)
-                    if target is not None:
-                        break
-                if target is not None:
-                    kids.remove(ci)
-                    children[target].append(ci)
-                    parent[ci] = target
-                    changed = True
-                    break
-            if changed:
-                break
-
-
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form of the same width.
 
-    The bag tree is first simplified by contracting subset-adjacent bags and
-    re-hanging avoidable branches, then rebuilt bottom-up: one-vertex leaves
-    grown by introduce chains, forget-then-introduce ladders along tree
-    edges, and binary join combs where branching remains.  All orders are
-    deterministic.
+    The bag tree is rooted at its smallest node and rebuilt bottom-up in
+    one post-order: one-vertex leaves grown by introduce chains,
+    forget-then-introduce ladders along tree edges, and binary join combs
+    where a node has several children.  All orders are deterministic.
+
+    The tree is not compacted first.  Decompositions built here
+    (``min_fill_decomposition``, ``exact_treewidth_small``) come out with no
+    tree edge whose one bag contains the other, and as chains wherever a
+    chain will do; any other valid input still gets a valid nice form of
+    the same width, with O(width) nodes per input bag.
     """
     if not td.vertex_nodes_connected():
         raise ValueError("input decomposition is invalid (vertex subtrees disconnected)")
-    bags, adj = _simplified_copy(td)
-
-    # root at the smallest surviving node and orient
+    bags = td.bags
     root_choice = min(bags)
-    parent: Dict[int, Optional[int]] = {root_choice: None}
-    children: Dict[int, List[int]] = {x: [] for x in bags}
-    stack = [root_choice]
-    seen = {root_choice}
-    while stack:
-        x = stack.pop()
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                children[x].append(y)
-                stack.append(y)
-    _reduce_branching(bags, parent, children)
-
     out_bags: Dict[int, FrozenSet[int]] = {}
     out_parent: Dict[int, Optional[int]] = {}
     out_kind: Dict[int, tuple] = {}
-    counter = [0]
 
     def fresh(bag: Iterable[int], kind: tuple, kids: List[int]) -> int:
-        counter[0] += 1
-        x = counter[0]
+        x = len(out_bags) + 1
         out_bags[x] = frozenset(bag)
         out_kind[x] = kind
         out_parent[x] = None
@@ -299,39 +203,42 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             out_parent[c] = x
         return x
 
-    def grow_chain(target: List[int]) -> int:
-        """Leaf plus introduces building the sorted vertex list `target`."""
-        if not target:
-            return fresh((), LEAF, [])
-        node = fresh(target[:1], LEAF, [])
-        for i in range(1, len(target)):
-            node = fresh(target[: i + 1], ("introduce", target[i]), [node])
-        return node
-
-    def lift(node: int, have: frozenset, want: frozenset) -> int:
-        """Forget-then-introduce ladder turning bag `have` into bag `want`."""
-        cur = set(have)
-        for v in sorted(have - want):
-            cur.discard(v)
-            node = fresh(cur, ("forget", v), [node])
-        for v in sorted(want - have):
-            cur.add(v)
-            node = fresh(cur, ("introduce", v), [node])
-        return node
-
-    def build(x: int) -> int:
-        bag = frozenset(bags[x])
-        kids = sorted(children[x])
-        if not kids:
-            return grow_chain(sorted(bag))
-        tops = [lift(build(y), frozenset(bags[y]), bag) for y in kids]
-        node = tops[0]
-        for other in tops[1:]:
-            node = fresh(bag, JOIN, [node, other])
-        return node
-
-    root = build(root_choice)
-    return NiceTreeDecomposition(out_bags, out_parent, out_kind, root)
+    # orient on the way down; top[x] is the nice node that stands for x's
+    # subtree, with x's parent's bag; children are built in sorted order
+    parent: Dict[int, Optional[int]] = {root_choice: None}
+    children: Dict[int, List[int]] = {}
+    top: Dict[int, int] = {}
+    stack: List[Tuple[int, bool]] = [(root_choice, False)]
+    while stack:
+        x, done = stack.pop()
+        if not done:
+            children[x] = sorted(td.tree[x] - {parent[x]})
+            for y in children[x]:
+                parent[y] = x
+            stack.append((x, True))
+            stack.extend((y, False) for y in reversed(children[x]))
+            continue
+        bag = bags[x]
+        if children[x]:
+            node = top[children[x][0]]
+            for y in children[x][1:]:
+                node = fresh(bag, JOIN, [node, top[y]])
+        else:  # a leaf plus introduces building the bag
+            chain = sorted(bag)
+            node = fresh(chain[:1], LEAF, [])
+            for i in range(1, len(chain)):
+                node = fresh(chain[: i + 1], ("introduce", chain[i]), [node])
+        if parent[x] is not None:  # forget-then-introduce up to the parent's bag
+            want = bags[parent[x]]
+            cur = set(bag)
+            for v in sorted(bag - want):
+                cur.discard(v)
+                node = fresh(cur, ("forget", v), [node])
+            for v in sorted(want - bag):
+                cur.add(v)
+                node = fresh(cur, ("introduce", v), [node])
+        top[x] = node
+    return NiceTreeDecomposition(out_bags, out_parent, out_kind, top[root_choice])
 
 
 def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
@@ -444,24 +351,38 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
 
 
 def _elimination_decomposition(g: Graph, order: List[int]) -> TreeDecomposition:
-    """Simulate eliminating ``order`` (every vertex of g, n >= 1): node i
-    holds the i-th eliminated vertex with its neighbours at that point and
-    hangs off the node of the first of them to be eliminated; a bag without
-    such a neighbour hangs off the next node.  The root is the last node."""
+    """Simulate eliminating ``order`` (every vertex of g, n >= 1): vertex v
+    gets the bag of v and its neighbours at that point, and its separator
+    (that bag minus v) hangs off the first later bag that contains it.  The
+    first-eliminated separator vertex's bag always does, and an empty
+    separator takes the next bag, so stars and paths come out as chains.
+    When that bag equals the separator, the two vertices share one node
+    (the larger bag), so no tree edge joins a bag to a subset of itself.
+    Nodes are numbered by their first vertex's position; the root is the
+    node of the last vertex."""
     cur = {v: set(g.neighbors(v)) for v in g.vertices}
-    bag_of: Dict[int, set] = {}
+    bag_of: Dict[int, FrozenSet[int]] = {}
     for v in order:
         nb = cur.pop(v)
-        bag_of[v] = {v} | nb
+        bag_of[v] = frozenset(nb | {v})
         for a in nb:
             cur[a].discard(v)
             cur[a] |= nb - {a}
-    pos = {v: i for i, v in enumerate(order)}
-    node_of = {v: i + 1 for i, v in enumerate(order)}
-    bags = {node_of[v]: bag_of[v] for v in order}
-    edges = []
-    for i, v in enumerate(order[:-1]):
-        others = bag_of[v] - {v}
-        nxt = min(others, key=pos.get) if others else order[i + 1]
-        edges.append((node_of[v], node_of[nxt]))
+    n = len(order)
+    node_of: Dict[int, int] = {}
+    bags: Dict[int, FrozenSet[int]] = {}
+    hangs: List[Tuple[int, int]] = []
+    for i, v in enumerate(order):
+        if v not in node_of:
+            node_of[v] = i + 1
+            bags[i + 1] = bag_of[v]
+        if i + 1 == n:
+            break
+        sep = bag_of[v] - {v}
+        up = next(order[j] for j in range(i + 1, n) if sep <= bag_of[order[j]])
+        if bag_of[up] == sep and up not in node_of:
+            node_of[up] = node_of[v]
+        else:
+            hangs.append((v, up))
+    edges = [(node_of[v], node_of[u]) for v, u in hangs]
     return TreeDecomposition(bags, edges, root=node_of[order[-1]])

@@ -170,9 +170,13 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     row minima already reaches the best total: costs are non-negative and
     only a strictly cheaper split replaces the best, so the winner stays
     the first cheapest one enumerated.
+
+    Past d = n every part holds at most one vertex, so at most n are used:
+    the search runs with max(1, min(d, n)) groups, padded to d empty parts.
     """
     if d < 1:
         raise ValueError("need at least one part")
+    k = max(1, min(d, g.n))  # ceil(n/k) == ceil(n/d) in every case
     cover = min_vertex_cover(g, g.n)
     items = tuple(sorted(frozenset(g.vertices) - cover))
     links = [[(u, g.edge_weight(v, u)) for u in g.neighbors(v)] for v in items]
@@ -181,7 +185,7 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     cap = -(-g.n // d)
     group_of = [0] * (g.n + 1)  # read for cover vertices only, all rewritten per split
     best: Optional[Tuple[int, DPartition]] = None
-    for groups in enumerate_cover_partitions(cover, d, g.n):
+    for groups in enumerate_cover_partitions(cover, k, g.n):
         for j, grp in enumerate(groups):
             for v in grp:
                 group_of[v] = j
@@ -191,18 +195,18 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
         rows = []
         floor = cover_cut
         for nbrs, deg in zip(links, degrees):
-            row = [deg] * d
+            row = [deg] * k
             for u, w in nbrs:
                 row[group_of[u]] -= w
             rows.append(row)
             floor += min(row)
         if best is not None and floor >= best[0]:
             continue
-        groups += (frozenset(),) * (d - len(groups))
+        groups += (frozenset(),) * (k - len(groups))
         placed, cost = min_cost_assignment(rows, [cap - len(grp) for grp in groups])
         total = cover_cut + cost
         if best is None or total < best[0]:  # first enumerated wins ties
-            parts = [set(grp) for grp in groups]
+            parts = [set(grp) for grp in groups] + [set() for _ in range(d - k)]
             for v, j in zip(items, placed):
                 parts[j].add(v)
             best = (total, DPartition(parts))

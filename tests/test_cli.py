@@ -61,6 +61,15 @@ def test_vbisect_past_the_exact_treewidth_limit(tmp_path, capsys):
     assert out.splitlines()[:1] == ["sep 1"]
 
 
+def test_vbisect_long_path(tmp_path, capsys):
+    n = 500
+    gf = tmp_path / "path.gr"
+    gf.write_text(f"p tw {n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    code, out, _ = run_cli(capsys, "vbisect", "--graph", str(gf), "--k", "1")
+    assert code == 0
+    assert out.splitlines()[:1] == ["sep 1"]
+
+
 def test_bisect_with_automatic_deletion_set(c6, capsys):
     code, out, _ = run_cli(capsys, "bisect", "--graph", c6)
     assert code == 0
@@ -148,6 +157,29 @@ def test_bpart_solution_verifies(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "verify", "--graph", str(p), "--solution", str(sol))
     assert code == 0
     assert out2.startswith("valid: cut 2")
+
+
+def test_bpart_on_the_empty_graph_round_trips(tmp_path, capsys):
+    p = tmp_path / "empty.gr"
+    p.write_text("p tw 0 0\n")
+    code, out, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", "2")
+    assert code == 0 and out == "cut 0\n"
+    sol = tmp_path / "empty.sol"
+    sol.write_text(out)
+    code, out2, _ = run_cli(capsys, "verify", "--graph", str(p), "--solution", str(sol))
+    assert code == 0 and out2.startswith("valid: cut 0")
+    sol.write_text("cut 1\n")
+    code, out3, _ = run_cli(capsys, "verify", "--graph", str(p), "--solution", str(sol))
+    assert code == 1 and out3.startswith("invalid")
+
+
+def test_bpart_past_n_parts_prints_the_n_part_answer(tmp_path, capsys):
+    p = tmp_path / "t.gr"
+    p.write_text("p tw 12 11\n" + "".join(f"{(i + 1) // 2} {i + 1}\n" for i in range(1, 12)))
+    code, want, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", "12")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", "120")
+    assert code == 0 and out == want
 
 
 def test_bpart_takes_edge_weights(tmp_path, capsys):

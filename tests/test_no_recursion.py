@@ -1,0 +1,71 @@
+"""No library function calls itself.
+
+Deep inputs (long paths, deep expressions) must never end in a
+RecursionError, so every walk in ``src/balcut`` uses an explicit stack.
+Two recursions are bounded and allowed: the oracle's restricted-growth
+strings, whose depth is the oracle's guarded graph size, and the cover
+partition enumeration, whose depth is the cover size.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "balcut"
+
+ALLOWED = {
+    "oracle._restricted_growth_strings.rec",
+    "vcpart.enumerate_cover_partitions.rec",
+}
+
+
+def _calls_itself(fn) -> bool:
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (
+            isinstance(f, ast.Attribute)
+            and f.attr == fn.name
+            and isinstance(f.value, ast.Name)
+            and f.value.id in ("self", "cls")
+        ):
+            return True
+    return False
+
+
+def self_calling_functions(path: Path):
+    """Qualified names (module.outer.inner) of functions that call themselves."""
+    found = []
+    stack = [(ast.parse(path.read_text()), path.stem)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                    found.append(name)
+                stack.append((child, name))
+            else:
+                stack.append((child, prefix))
+    return found
+
+
+def test_no_function_calls_itself():
+    found = {name for path in sorted(SRC.glob("*.py")) for name in self_calling_functions(path)}
+    assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def test_the_checker_sees_a_self_call(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def outer():\n"
+        "    def build(x):\n"
+        "        return build(x - 1) if x else 0\n"
+        "    return build(3)\n"
+        "class C:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+    )
+    assert sorted(self_calling_functions(src)) == ["m.C.walk", "m.outer.build"]

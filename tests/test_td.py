@@ -224,3 +224,29 @@ def test_postorder_children_first():
             assert c in seen
         seen.add(x)
     assert len(seen) == len(nice.bags)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_built_decompositions_are_reduced(n):
+    # sparse p leaves most graphs disconnected
+    for seed, p in enumerate((0.05, 0.15, 0.3, 0.6)):
+        g = random_graph(n, p, seed=700 + 10 * n + seed)
+        for td in (min_fill_decomposition(g), exact_treewidth_small(g)[1]):
+            assert validate_td(g, td), (n, p)
+            # td.tree is symmetric, so this checks both ends of every edge
+            assert all(not td.bags[x] <= td.bags[y] for x in td.bags for y in td.tree[x]), (n, p)
+
+
+@pytest.mark.parametrize("m", [3, 8, 14])
+def test_star_nice_form_has_no_join(m):
+    g = star_graph(m)
+    for td in (min_fill_decomposition(g), exact_treewidth_small(g)[1]):
+        nice = make_nice(td)
+        assert nice.validate(g)
+        assert all(kind != ("join",) for kind in nice.kind.values())
+
+
+def test_make_nice_of_a_long_path():
+    g = path_graph(800)
+    nice = make_nice(min_fill_decomposition(g))
+    assert nice.width == 1 and nice.validate(g)

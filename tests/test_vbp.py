@@ -143,7 +143,7 @@ def test_sep_dp_input_checks():
 def test_sep_dp_accepts_decompositions_over_4n_nodes():
     # the nice form of a valid min-fill decomposition can exceed 4n nodes;
     # it must give the same table as the exact decomposition's
-    g = random_graph(14, 0.3, seed=1407)
+    g = random_graph(14, 0.35, seed=157)
     nice = make_nice(min_fill_decomposition(g))
     assert len(nice.bags) > 4 * g.n
     assert sep_dp(g, nice, 3).entries == build_table(g, 3).entries

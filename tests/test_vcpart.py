@@ -258,6 +258,17 @@ def test_more_parts_than_vertices():
     assert dp.is_valid(path_graph(3))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_parts_past_n_stay_empty(seed):
+    # d = 10n solves as d = n and pads with empty parts
+    g = random_graph(8 + seed, 0.3, seed=600 + seed)
+    small, cut = solve_balanced_partition_vc(g, g.n)
+    big, big_cut = solve_balanced_partition_vc(g, 10 * g.n)
+    assert big.d == 10 * g.n and big_cut == cut
+    assert big.parts == small.parts + (frozenset(),) * (9 * g.n)
+    assert big.is_valid(g) and cut_size(g, big) == cut
+
+
 def test_edgeless_graph_costs_nothing():
     dp, cut = solve_balanced_partition_vc(Graph(4), 2)
     assert cut == 0
