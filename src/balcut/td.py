@@ -10,6 +10,7 @@ the decompositions built here, which have at most n bags.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graph import Graph
@@ -328,26 +329,53 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     edges (fill edges), ties broken by lowest degree, then lowest vertex
     (Bodlaender & Koster, "Treewidth computations I. Upper bounds", 2010).
     The width is an upper bound on the treewidth, often tight on sparse
-    graphs, and there is no size limit: O(n^2 * degree^2) time.  The
-    decomposition is built as ``exact_treewidth_small`` builds its own.
+    graphs, and there is no size limit.  The decomposition is built as
+    ``exact_treewidth_small`` builds its own.
     """
     if g.n == 0:
         return TreeDecomposition({1: ()}, [])
+    return _elimination_decomposition(g, _min_fill_order(g))
+
+
+def _min_fill_order(g: Graph) -> List[int]:
+    """The min-fill order, from a heap of (fill, degree, vertex) keys.
+
+    Eliminating v cliques N(v), which changes the degree of N(v) and can
+    lower the fill only of vertices with a neighbour in N(v), so only N(v)
+    and its neighbours get new keys; a popped key that is no longer its
+    vertex's current key is stale and skipped.  A step costs O(degree^2)
+    per vertex within distance two of v, so sparse graphs such as long
+    paths take near-linear time.
+    """
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
-    def fill(v: int) -> int:
+    def key(v: int) -> Tuple[int, int, int]:
         nb = sorted(adj[v])
-        return sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
+        fill = sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
+        return fill, len(nb), v
 
+    current = {v: key(v) for v in g.vertices}
+    heap = list(current.values())
+    heapq.heapify(heap)
     order: List[int] = []
-    while adj:
-        v = min(adj, key=lambda v: (fill(v), len(adj[v]), v))
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if current.get(v) != entry:
+            continue
+        del current[v]
         nb = adj.pop(v)
         for u in nb:
             adj[u] |= nb - {u}
             adj[u].discard(v)
+        touched = set(nb)
+        for u in nb:
+            touched |= adj[u]
+        for u in touched:
+            current[u] = key(u)
+            heapq.heappush(heap, current[u])
         order.append(v)
-    return _elimination_decomposition(g, order)
+    return order
 
 
 def _elimination_decomposition(g: Graph, order: List[int]) -> TreeDecomposition:

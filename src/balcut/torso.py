@@ -13,7 +13,11 @@ Marx, "Parameterized graph separation problems", 2006): each step finds a
 shortest path between the terminals in G minus the chosen set and branches
 on its inner vertices, so the tree is at most k deep.  A chosen set that
 separates is kept iff every vertex of it has a neighbour in both terminal
-components (the full-component test for minimality).
+components (the full-component test for minimality).  At the last level
+only the path vertices that lie on every remaining terminal path are
+branched on: any other child would hold k vertices and still not separate.
+A shortest path has no chords, so one pass over the components hanging off
+it finds those vertices.  The search runs on vertex bitmasks.
 
 Vertex ids in contracted graphs are reassigned order-preservingly: sorted W
 becomes 1..|W| and component vertices follow in order of component
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .graph import Graph, connected_components
 
@@ -86,27 +90,98 @@ def torso(g: Graph, w: Iterable[int]) -> Graph:
     return Graph(n_w, sorted(edges))
 
 
-def _st_path(g: Graph, s: int, t: int, blocked: FrozenSet[int]):
-    """Breadth-first search from s in G - blocked.
+def _bits(mask: int):
+    """The vertices of a vertex mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency_masks(g: Graph) -> List[int]:
+    """adj[v] is the mask of N(v); bit v of a mask stands for vertex v."""
+    adj = [0] * (g.n + 1)
+    for u, v in g.edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _st_path(adj: List[int], s: int, t: int, blocked: int):
+    """Level-by-level breadth-first search from s in G - blocked, over
+    vertex masks (see ``_adjacency_masks``).
 
     Returns (the inner vertices of a shortest s-t path in order from s, None)
-    if t is reachable, else (None, the vertex set of the component of s).
+    if t is reachable, else (None, the mask of the component of s).  The path
+    is walked back from t taking the lowest neighbour on each earlier level.
     """
-    prev = {s: s}
-    queue = [s]
-    for v in queue:  # the queue grows while it is read
-        for u in g.neighbors(v):
-            if u in prev or u in blocked:
-                continue
-            if u == t:
-                inner = []
-                while v != s:
-                    inner.append(v)
-                    v = prev[v]
-                return inner[::-1], None
-            prev[u] = v
-            queue.append(u)
-    return None, prev.keys()
+    seen = blocked | 1 << s
+    levels = [1 << s]
+    while levels[-1]:
+        reach = 0
+        rest = levels[-1]
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        if reach >> t & 1:
+            inner = []
+            v = t
+            for level in reversed(levels[1:]):
+                nb = adj[v] & level
+                v = (nb & -nb).bit_length() - 1
+                inner.append(v)
+            return inner[::-1], None
+        reach &= ~seen
+        seen |= reach
+        levels.append(reach)
+    return None, seen & ~blocked
+
+
+def _unavoidable(adj: List[int], path: List[int], blocked: int) -> List[bool]:
+    """For each vertex of `path` (s, the inner vertices of a shortest s-t
+    path of G - blocked, then t), whether it lies on every s-t path of
+    G - blocked.
+
+    A shortest path has no chords, so a walk that skips position i must
+    cross it through a component of G - blocked - V(path) that touches the
+    path at some a < i and some b > i.  One pass over those components marks
+    the open interval (lo, hi) of each one's touched positions in a
+    difference array; the positions no interval covers are unavoidable.
+    """
+    pos = {}
+    on_path = near = 0
+    for i, v in enumerate(path):
+        pos[v] = i
+        on_path |= 1 << v
+        near |= adj[v]
+    rest = ~(blocked | on_path)
+    seeds = near & rest  # a component that touches the path meets N(path)
+    cover = [0] * (len(path) + 1)
+    while seeds:
+        comp = frontier = seeds & -seeds
+        touch = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            touch |= reach
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        seeds &= ~comp
+        hit = [pos[v] for v in _bits(touch & on_path)]
+        lo, hi = min(hit), max(hit)
+        if hi - lo >= 2:
+            cover[lo + 1] += 1
+            cover[hi] -= 1
+    out = []
+    depth = 0
+    for c in cover[:-1]:
+        depth += c
+        out.append(depth == 0)
+    return out
 
 
 def _vertex_connectivity_at_least(g: Graph, s: int, t: int, bound: int) -> bool:
@@ -114,39 +189,34 @@ def _vertex_connectivity_at_least(g: Graph, s: int, t: int, bound: int) -> bool:
     paths (unit-capacity flow with split vertices, early exit)."""
     if bound <= 0:
         return True
-    # node encoding: (v, 0) = in-copy, (v, 1) = out-copy
-    flow_edges: Dict[tuple, Set[tuple]] = {}
-
-    def add(a, b):
-        flow_edges.setdefault(a, set()).add(b)
-
+    # node 2v is the in-copy of v, node 2v + 1 its out-copy
+    flow_edges: List[Set[int]] = [set() for _ in range(2 * g.n + 2)]
     for v in g.vertices:
-        add((v, 0), (v, 1))
+        flow_edges[2 * v].add(2 * v + 1)
     for u, v in g.edges():
-        add((u, 1), (v, 0))
-        add((v, 1), (u, 0))
-    source, sink = (s, 1), (t, 0)
-    add((s, 0), (s, 1))
+        flow_edges[2 * u + 1].add(2 * v)
+        flow_edges[2 * v + 1].add(2 * u)
+    source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < bound:
         # BFS for an augmenting path in the residual digraph
-        prev = {source: None}
+        prev = [-1] * len(flow_edges)
+        prev[source] = source
         queue = [source]
-        qi = 0
-        while qi < len(queue) and sink not in prev:
-            a = queue[qi]
-            qi += 1
-            for b in flow_edges.get(a, ()):
-                if b not in prev:
+        for a in queue:  # the queue grows while it is read
+            if prev[sink] >= 0:
+                break
+            for b in flow_edges[a]:
+                if prev[b] < 0:
                     prev[b] = a
                     queue.append(b)
-        if sink not in prev:
+        if prev[sink] < 0:
             return False
         node = sink
         while node != source:
             p = prev[node]
             flow_edges[p].discard(node)
-            add(node, p)
+            flow_edges[node].add(p)
             node = p
         flow += 1
     return True
@@ -166,7 +236,7 @@ def minimal_st_separators(
     and the set F of vertices that may no longer be chosen.  While G - X has
     an s-t path, every separator containing X has a vertex on it; the search
     takes a shortest path P and, for each inner vertex v_i of P outside F
-    (in order from s), pushes the child (X + v_i, F + {v_1..v_{i-1}}).
+    (in order from s), makes the child (X + v_i, F + {v_1..v_{i-1}}).
     Every minimal separator S with |S| <= k is reached: the first vertex of
     P in S yields a child with X still inside S and F still disjoint from
     it.  Sibling subtrees differ on whether v_i is chosen, so no set is
@@ -174,6 +244,15 @@ def minimal_st_separators(
     separates s from t is a leaf; X is kept iff it is minimal, that is iff
     every vertex of X has a neighbour both in the component of s and in the
     component of t of G - X (both components are then full).
+
+    At the last level (|X| = k - 1) a child can only matter if X + v_i
+    separates, that is if v_i lies on every s-t path of G - X; a child with
+    |X| = k that still has an s-t path is dropped without recording
+    anything.  So only the children on such cut vertices are pushed, found
+    by one pass over the components of G - X - V(P) (``_unavoidable``); F
+    still grows over every free vertex of P, so the pushed children are
+    exactly those of the full search.  X and F are vertex masks, and the
+    adjacency masks are built once per call.
     """
     if s == t:
         raise ValueError("terminals must differ")
@@ -181,29 +260,30 @@ def minimal_st_separators(
         raise ValueError("terminal outside the graph")
     if g.has_edge(s, t):
         return None
-    if _st_path(g, s, t, frozenset())[0] is None:
+    adj = _adjacency_masks(g)
+    if _st_path(adj, s, t, 0)[0] is None:
         return {frozenset()}
     if _vertex_connectivity_at_least(g, s, t, k + 1):
         return set()  # min cut exceeds k; nothing to report
 
-    found: Set[FrozenSet[int]] = set()
-    stack = [(frozenset(), frozenset())]
+    found: Set[int] = set()
+    stack = [(0, 0, 0)]  # (X, F, |X|)
     while stack:
-        x, f = stack.pop()
-        path, s_side = _st_path(g, s, t, x)
+        x, f, size = stack.pop()
+        path, s_side = _st_path(adj, s, t, x)
         if path is None:
-            _, t_side = _st_path(g, t, s, x)
-            if all(
-                any(u in s_side for u in g.neighbors(v))
-                and any(u in t_side for u in g.neighbors(v))
-                for v in x
-            ):
+            _, t_side = _st_path(adj, t, s, x)
+            if all(adj[v] & s_side and adj[v] & t_side for v in _bits(x)):
                 found.add(x)
-        elif len(x) < k:
-            free = [v for v in path if v not in f]
-            for i, v in enumerate(free):
-                stack.append((x | {v}, f.union(free[:i])))
-    return found
+        elif size < k:
+            keep = _unavoidable(adj, [s] + path + [t], x)[1:] if size == k - 1 else None
+            for i, v in enumerate(path):
+                if f >> v & 1:
+                    continue
+                if keep is None or keep[i]:
+                    stack.append((x | 1 << v, f, size + 1))
+                f |= 1 << v
+    return {frozenset(_bits(x)) for x in found}
 
 
 def separator_hull(g: Graph, terminals: Iterable[int], k: int) -> FrozenSet[int]:

@@ -6,6 +6,7 @@ from balcut.graph import Graph, complete_graph, cycle_graph, path_graph, star_gr
 from balcut.td import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    _min_fill_order,
     exact_treewidth_small,
     make_nice,
     min_fill_decomposition,
@@ -191,6 +192,34 @@ def test_min_fill_widths_and_determinism(g, expect):
     assert td.width == expect
     again = min_fill_decomposition(g)
     assert (again.bags, again.tree, again.root) == (td.bags, td.tree, td.root)
+
+
+def _full_rescan_min_fill_order(g):
+    # the rule itself: every step rescans every vertex's fill
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def fill(v):
+        nb = sorted(adj[v])
+        return sum(1 for i, u in enumerate(nb) for w in nb[i + 1 :] if w not in adj[u])
+
+    order = []
+    while adj:
+        v = min(adj, key=lambda v: (fill(v), len(adj[v]), v))
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+        order.append(v)
+    return order
+
+
+def test_min_fill_order_matches_a_full_rescan():
+    # the heap only recomputes keys near the eliminated vertex; the order
+    # must be the one a rescan of every vertex at every step gives
+    graphs = [path_graph(120), cycle_graph(40), star_graph(15), grid_graph(6, 6)]
+    graphs += [random_graph(n, 0.03 + 0.06 * (n % 7), seed=900 + n) for n in range(1, 41)]
+    for g in graphs:
+        assert _min_fill_order(g) == _full_rescan_min_fill_order(g), g.edges()
 
 
 def test_exact_treewidth_isolated_vertex_invariant():

@@ -7,6 +7,9 @@ import pytest
 
 from balcut.graph import Graph, connected_components, cycle_graph, path_graph, star_graph
 from balcut.torso import (
+    _adjacency_masks,
+    _unavoidable,
+    _vertex_connectivity_at_least,
     atorso,
     build_trimmer,
     minimal_st_separators,
@@ -239,6 +242,134 @@ def test_separators_match_brute_force_on_long_paths():
                 below += want == set()
                 within += bool(want) and want != {frozenset()}
     assert below >= 20 and within >= 50
+
+
+def test_vertex_connectivity_matches_smallest_brute_separator():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        g = random_graph(rng.randint(4, 9), rng.uniform(0.2, 0.7), seed=rng.randrange(10**6))
+        s, t = rng.sample(sorted(g.vertices), 2)
+        seps = _brute_minimal_separators(g, s, t, g.n)
+        if seps is None:
+            continue
+        connectivity = min(len(sep) for sep in seps)
+        for bound in range(5):
+            assert _vertex_connectivity_at_least(g, s, t, bound) == (connectivity >= bound)
+        checked += 1
+    assert checked > 30
+
+
+def _reference_minimal_separators(g, s, t, k):
+    # The same branching search on vertex sets, without the last-level
+    # filter: every child is pushed, and a child with |X| = k that still has
+    # an s-t path is dropped when it is popped.
+    def st_path(src, dst, blocked):
+        prev = {src: src}
+        queue = [src]
+        for v in queue:
+            for u in g.neighbors(v):
+                if u in prev or u in blocked:
+                    continue
+                if u == dst:
+                    inner = []
+                    while v != src:
+                        inner.append(v)
+                        v = prev[v]
+                    return inner[::-1], None
+                prev[u] = v
+                queue.append(u)
+        return None, prev.keys()
+
+    if g.has_edge(s, t):
+        return None
+    if st_path(s, t, frozenset())[0] is None:
+        return {frozenset()}
+    found = set()
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        x, f = stack.pop()
+        path, s_side = st_path(s, t, x)
+        if path is None:
+            _, t_side = st_path(t, s, x)
+            if all(
+                any(u in s_side for u in g.neighbors(v)) and any(u in t_side for u in g.neighbors(v))
+                for v in x
+            ):
+                found.add(x)
+        elif len(x) < k:
+            free = [v for v in path if v not in f]
+            for i, v in enumerate(free):
+                stack.append((x | {v}, f.union(free[:i])))
+    return found
+
+
+def _check_against_reference(g, s, t, k):
+    want = _reference_minimal_separators(g, s, t, k)
+    assert minimal_st_separators(g, s, t, k) == want, (g.edges(), s, t, k)
+    return want
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_separators_match_reference_on_grids(r):
+    # corners (two at once at k = 2, 3), interior vertices of degree 4, and
+    # an interior vertex against a corner; brute force cannot reach these
+    g = grid_graph(r, r)
+    corner, far, side = 1, r * r, r
+    inner, inner_far = r + 2, r * r - r - 1
+    found = 0
+    for s, t in [(corner, far), (corner, side), (inner, inner_far), (inner, far)]:
+        for k in range(1, 6):
+            found += len(_check_against_reference(g, s, t, k))
+    assert found > 300
+
+
+def test_separators_match_reference_on_showcase_and_sparse_random():
+    g = two_terminal_showcase()
+    for k in range(6):
+        _check_against_reference(g, SHOWCASE_S, SHOWCASE_T, k)
+    rng = random.Random(43)
+    found = 0
+    for _ in range(12):
+        g = random_graph(40, 0.1, seed=rng.randrange(10**6))
+        s, t = rng.sample(sorted(g.vertices), 2)
+        for k in range(6):
+            found += len(_check_against_reference(g, s, t, k) or ())
+    assert found > 100
+
+
+def _unavoidable_on(g, path, blocked=()):
+    return _unavoidable(_adjacency_masks(g), path, sum(1 << v for v in blocked))
+
+
+def test_unavoidable_component_touching_one_vertex():
+    # 6 hangs off 3 only, so it bypasses nothing
+    g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+    assert _unavoidable_on(g, [1, 2, 3, 4, 5]) == [True] * 5
+
+
+def test_unavoidable_component_touching_both_terminals():
+    # the other half of a 6-cycle joins s to t, so no inner vertex is a cut
+    g = cycle_graph(6)
+    assert _unavoidable_on(g, [1, 2, 3, 4]) == [True, False, False, True]
+
+
+def test_unavoidable_partial_bypass():
+    # 6 joins positions 1 and 3 of the path 1-2-3-4-5: only 3 is skipped
+    g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 4)])
+    assert _unavoidable_on(g, [1, 2, 3, 4, 5]) == [True, True, False, True, True]
+
+
+def test_unavoidable_one_inner_vertex():
+    assert _unavoidable_on(path_graph(3), [1, 2, 3]) == [True, True, True]
+    assert _unavoidable_on(cycle_graph(4), [1, 2, 3]) == [True, False, True]
+
+
+def test_unavoidable_ignores_blocked_vertices():
+    # the bypass of the 6-cycle runs through 5; blocking 5 cuts it
+    g = cycle_graph(6)
+    assert _unavoidable_on(g, [1, 2, 3, 4], blocked=[5]) == [True] * 4
+    assert _unavoidable_on(g, [1, 2, 3, 4], blocked=[6]) == [True] * 4
 
 
 def test_separators_are_separators_and_minimal():
