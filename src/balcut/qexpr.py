@@ -269,9 +269,12 @@ def normalize_qexpr(expr: QExpression) -> QExpression:
 
     One replay marks the redundant Joins and the empty-source Renames; the
     rebuild drops exactly those.  Any two surviving Joins then have disjoint
-    pair sets, so each is full when applied.
+    pair sets, so each is full when applied.  When nothing is marked, the
+    input itself is returned.
     """
     dropped = _replay(expr).dropped
+    if not dropped:
+        return expr
 
     def rebuild(pos, node, kids):
         if pos in dropped:

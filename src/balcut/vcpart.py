@@ -6,17 +6,34 @@ set whose members can be placed one by one, each caring only about the
 weight of its edges to neighbours outside its part.  The solver enumerates
 the set partitions of the cover into at most d groups (dropping any that
 overfill a part) and skips every split whose cover cut, or cover cut plus
-the capacity-free placement cost, already reaches the best total.  The
-rest get their independent vertices assigned at minimum cost under the
+a placement floor, already reaches the best total: first the
+capacity-free floor, then one that respects each part's room.  The rest
+get their independent vertices assigned at minimum cost under the
 remaining capacities, greedily while that provably matches shortest paths
 over the d parts alone and by those shortest paths after; the cheapest
 combination is kept, first enumerated winning ties.  The cover itself
-comes from a branching search pruned by a greedy-matching lower bound.
+comes from a branching search pruned by a greedy-matching lower bound,
+with its budget starting at the size of a greedy cover.
 """
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DPartition, Graph, cut_size
+
+
+def _greedy_cover_size(g: Graph) -> int:
+    """Size of the cover built by repeatedly taking a vertex of highest
+    remaining degree, lowest id on ties."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices if g.degree(v)}
+    size = 0
+    while adj:
+        v = max(adj, key=lambda u: (len(adj[u]), -u))
+        for u in adj.pop(v):
+            adj[u].discard(v)
+            if not adj[u]:
+                del adj[u]
+        size += 1
+    return size
 
 
 def min_vertex_cover(g: Graph, tau_max: int) -> Optional[FrozenSet[int]]:
@@ -25,16 +42,18 @@ def min_vertex_cover(g: Graph, tau_max: int) -> Optional[FrozenSet[int]]:
     Depth-first branching on the first uncovered edge (u, v), u before v,
     over an explicit stack of partial covers.  The scan for that edge also
     builds a greedy matching of the uncovered edges; a partial cover is
-    dropped when its size plus the matching exceeds the budget (tau_max,
-    then the best size found).  The prune is strict, so every minimum cover
-    is reached and the lexicographically smallest one is returned, which
-    keeps results reproducible.
+    dropped when its size plus the matching exceeds the budget.  The budget
+    starts at tau_max or the size of a greedy highest-degree cover, if
+    smaller, and becomes the best size found.  It never falls below the
+    minimum and the prune is strict, so every minimum cover is reached and
+    the lexicographically smallest one is returned, which keeps results
+    reproducible.
     """
     if tau_max < 0:
         return None
     edges = sorted(g.edges())
     best: Optional[Tuple[tuple, FrozenSet[int]]] = None
-    limit = tau_max
+    limit = min(tau_max, _greedy_cover_size(g))
     stack: List[FrozenSet[int]] = [frozenset()]
     while stack:
         cover = stack.pop()
@@ -157,6 +176,42 @@ def min_cost_assignment(
     return group, total
 
 
+def capacity_floor(costs: Sequence[Sequence[int]], capacities: Sequence[int]) -> int:
+    """Lower bound on the cost of min_cost_assignment(costs, capacities),
+    exact for at most two groups.
+
+    For each group j the other groups are merged into one with their
+    combined room, and every row pays its cheapest entry in j or its
+    cheapest entry elsewhere.  That split starts from the sum of row minima:
+    if more rows are cheapest only in j than j has room, the excess moves
+    out at the smallest second-minus-first gaps; if the others cannot hold
+    every row j does not want, j takes the rows cheapest to move in.  Every
+    real assignment is such a split, so each is a bound and the largest is
+    returned.
+    """
+    k = len(capacities)
+    if k == 1:
+        return sum(row[0] for row in costs)
+    spare = sum(capacities) - len(costs)
+    mins = []
+    gaps: List[List[int]] = [[] for _ in range(k)]  # per group, for rows cheapest only there
+    for row in costs:
+        m1, m2 = sorted(row)[:2]
+        mins.append(m1)
+        if m1 < m2:
+            gaps[row.index(m1)].append(m2 - m1)
+    extra = 0
+    for j, room in enumerate(capacities):
+        out = len(gaps[j]) - room  # rows cheapest only in j that j cannot hold
+        least = room - spare  # rows j must take: the others cannot hold them
+        if out > 0:
+            extra = max(extra, sum(sorted(gaps[j])[:out]))
+        elif least > len(gaps[j]):
+            # its own rows cost 0 to take in, so they come first
+            extra = max(extra, sum(sorted(row[j] - m for row, m in zip(costs, mins))[:least]))
+    return sum(mins) + extra
+
+
 def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     """Minimum-cut partition of G into d parts of size at most ceil(n/d).
 
@@ -166,10 +221,11 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     the edges running between different cover groups.  Each item's cost
     row is its weighted degree minus its weight into each group, from
     (cover neighbour, weight) lists built once.  A split is skipped, before
-    any assignment, when its cover cut or its cover cut plus the sum of
-    row minima already reaches the best total: costs are non-negative and
-    only a strictly cheaper split replaces the best, so the winner stays
-    the first cheapest one enumerated.
+    any assignment, when its cover cut, its cover cut plus the sum of row
+    minima, or its cover cut plus capacity_floor already reaches the best
+    total: each is at most the split's total and only a strictly cheaper
+    split replaces the best, so the winner stays the first cheapest one
+    enumerated.
 
     Past d = n every part holds at most one vertex, so at most n are used:
     the search runs with max(1, min(d, n)) groups, padded to d empty parts.
@@ -203,7 +259,10 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
         if best is not None and floor >= best[0]:
             continue
         groups += (frozenset(),) * (k - len(groups))
-        placed, cost = min_cost_assignment(rows, [cap - len(grp) for grp in groups])
+        room = [cap - len(grp) for grp in groups]
+        if best is not None and cover_cut + capacity_floor(rows, room) >= best[0]:
+            continue
+        placed, cost = min_cost_assignment(rows, room)
         total = cover_cut + cost
         if best is None or total < best[0]:  # first enumerated wins ties
             parts = [set(grp) for grp in groups] + [set() for _ in range(d - k)]

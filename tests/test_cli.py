@@ -4,6 +4,7 @@ These drive balcut.cli.main with argv lists and captured output, plus one
 real pipe through subprocesses for the stdin path.
 """
 
+import random
 import subprocess
 import sys
 
@@ -195,6 +196,51 @@ def test_bpart_takes_edge_weights(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "verify", "--graph", str(p), "--solution", str(sol))
     assert code == 0
     assert out2.startswith("valid: cut 2")
+
+
+def _cover_gr(seed):
+    """A seeded graph whose edges all touch 3-6 shuffled hub vertices;
+    odd seeds carry edge weights 1-5."""
+    rng = random.Random(seed)
+    tau, ind = rng.randint(3, 6), rng.randint(8, 14)
+    n = tau + ind
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    hub = set(order[:tau])
+    lines = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if (u in hub or v in hub) and rng.random() < 0.4:
+                w = rng.randint(1, 5) if seed % 2 else 1
+                lines.append(f"e {u} {v} {w}" if w > 1 else f"{u} {v}")
+    return f"p tw {n} {len(lines)}\n" + "".join(line + "\n" for line in lines)
+
+
+# (seed, d, cut, part of each vertex in order): the witnesses printed
+# before the capacity-aware split bound and the greedy-seeded cover search
+BPART_FROZEN = [
+    (1, 2, 8, "0111101001000110"),
+    (1, 3, 10, "0121202001101210"),
+    (2, 2, 1, "01001110110"),
+    (2, 3, 3, "11201002012"),
+    (3, 2, 8, "1100111100000101"),
+    (3, 3, 16, "0200221111010102"),
+    (4, 2, 6, "10011001010110"),
+    (4, 3, 10, "20021001210112"),
+    (5, 2, 31, "101001011001101001"),
+    (5, 3, 43, "001201211002201221"),
+    (6, 2, 1, "10110000010111"),
+    (6, 3, 2, "10210220010121"),
+]
+
+
+@pytest.mark.parametrize("seed,d,cut,parts", BPART_FROZEN)
+def test_bpart_bytes_are_frozen_on_cover_graphs(tmp_path, capsys, seed, d, cut, parts):
+    p = tmp_path / "cover.gr"
+    p.write_text(_cover_gr(seed))
+    code, out, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", str(d))
+    assert code == 0
+    assert out == f"cut {cut}\n" + "".join(f"{v} {j}\n" for v, j in enumerate(parts, 1))
 
 
 def test_bpart_rejects_vertex_weights(tmp_path, capsys):

@@ -107,6 +107,14 @@ def test_normalize_idempotent_and_stable():
     assert normalize_qexpr(once) == once
 
 
+def test_normalize_returns_a_full_expression_itself():
+    e = k3_expr()
+    assert normalize_qexpr(e) is e
+    g = path_graph(7)
+    phi = forest_qexpr(g)
+    assert joins_are_full(phi) and normalize_qexpr(phi) is phi
+
+
 def test_normalize_partial_join_becomes_full():
     # join twice with a third vertex added in between: the inner join's pair
     # is covered by the outer one, so only the outer (now full) join remains

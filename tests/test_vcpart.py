@@ -17,6 +17,7 @@ from balcut.graph import (
 )
 from balcut.oracle import brute_balanced_partition
 from balcut.vcpart import (
+    capacity_floor,
     enumerate_cover_partitions,
     min_cost_assignment,
     min_vertex_cover,
@@ -74,6 +75,67 @@ def test_min_vertex_cover_of_a_long_path_is_the_odd_vertices():
     # the greedy-matching bound keeps this search small (it is 2^21 leaves
     # without a lower bound)
     assert min_vertex_cover(path_graph(42), 42) == frozenset(range(1, 42, 2))
+    # the greedy cover (the even vertices and 99) starts the budget at the
+    # minimum; from a budget of 100 this search took seconds
+    assert min_vertex_cover(path_graph(100), 100) == frozenset(range(1, 100, 2))
+
+
+def _reference_cover(g, tau_max):
+    """min_vertex_cover with its budget starting at tau_max itself."""
+    if tau_max < 0:
+        return None
+    edges = sorted(g.edges())
+    best = None
+    limit = tau_max
+    stack = [frozenset()]
+    while stack:
+        cover = stack.pop()
+        first = None
+        matched = set()
+        bound = len(cover)
+        for u, v in edges:
+            if u in cover or v in cover:
+                continue
+            if first is None:
+                first = (u, v)
+            if u not in matched and v not in matched:
+                matched.add(u)
+                matched.add(v)
+                bound += 1
+                if bound > limit:
+                    break
+        if first is None:
+            rank = (len(cover), tuple(sorted(cover)))
+            if best is None or rank < best[0]:
+                best = (rank, cover)
+                limit = len(cover)
+        elif bound <= limit:
+            u, v = first
+            stack.append(cover | {v})
+            stack.append(cover | {u})
+    return best[1] if best else None
+
+
+def _cover_cases():
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randint(0, 16)
+        yield random_graph(n, rng.choice((0.15, 0.3, 0.5, 0.8)), seed=rng.randrange(10**6))
+    for n in (1, 2, 5, 9):
+        yield star_graph(n)
+    for n in (1, 2, 7, 12, 16):
+        yield path_graph(n)
+    for n in (1, 2, 5, 8):
+        yield complete_graph(n)
+
+
+def test_min_vertex_cover_matches_the_budget_from_tau_max():
+    for g in _cover_cases():
+        for tau_max in range(-1, g.n + 2):
+            assert min_vertex_cover(g, tau_max) == _reference_cover(g, tau_max), (
+                sorted(g.edges()),
+                tau_max,
+            )
 
 
 # ---------------------------------------------- enumerate_cover_partitions
@@ -216,6 +278,37 @@ def test_assignment_matches_reference_ssp_exactly():
         # the full (group list, total) pair, so tie-broken placements agree too
         assert min_cost_assignment(costs, caps) == _reference_ssp(costs, caps), (costs, caps)
         checked += 1
+
+
+def test_capacity_floor_bounds_the_assignment():
+    rng = random.Random(21)
+    checked = 0
+    while checked < 1500:
+        k = rng.randint(1, 4)
+        m = rng.randint(0, 10)
+        costs = [[rng.randint(0, 6) for _ in range(k)] for _ in range(m)]
+        caps = [rng.randint(0, m) for _ in range(k)]
+        if sum(caps) < m:
+            continue
+        _, cost = min_cost_assignment(costs, caps)
+        floor = capacity_floor(costs, caps)
+        assert floor <= cost, (costs, caps)
+        if k <= 2:
+            assert floor == cost, (costs, caps)
+        checked += 1
+
+
+def test_capacity_floor_examples():
+    # both rows want group 0, which has room for one: the cheaper move pays
+    assert capacity_floor([[0, 3], [0, 5]], [1, 1]) == 3
+    # group 1 must take two rows; row minima alone would say 0
+    assert capacity_floor([[0, 4], [0, 2], [0, 1]], [1, 2]) == 3
+    # three groups: the floor sees that group 0 overflows, not where rows go
+    assert capacity_floor([[0, 2, 2], [0, 2, 2]], [1, 1, 1]) == 2
+    # tied rows are cheapest in no single group, yet group 2 must take one
+    assert capacity_floor([[0, 0, 3], [0, 0, 2]], [0, 1, 1]) == 2
+    assert capacity_floor([], [0, 0]) == 0
+    assert capacity_floor([[4], [1]], [2]) == 5
 
 
 def test_assignment_cost_invariant_under_group_relabeling():
@@ -386,3 +479,55 @@ def test_solver_witnesses_match_the_unpruned_reference():
             dp, cut = solve_balanced_partition_vc(g, d)
             want_cut, want_parts = _reference_solve(g, d)
             assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
+
+
+def _parent_split_loop(g, d):
+    """The solver's split loop before the capacity-aware bound: skips on the
+    cover cut and on the sum of row minima only, over an unbounded
+    enumeration and the reference cover."""
+    k = max(1, min(d, g.n))
+    cover = _reference_cover(g, g.n)
+    items = tuple(sorted(frozenset(g.vertices) - cover))
+    links = [[(u, g.edge_weight(v, u)) for u in g.neighbors(v)] for v in items]
+    degrees = [sum(w for _, w in nbrs) for nbrs in links]
+    cover_edges = [(u, v, g.edge_weight(u, v)) for u, v in g.edges() if u in cover and v in cover]
+    cap = -(-g.n // d)
+    group_of = [0] * (g.n + 1)
+    best = None
+    for groups in enumerate_cover_partitions(cover, k, g.n):
+        for j, grp in enumerate(groups):
+            for v in grp:
+                group_of[v] = j
+        cover_cut = sum(w for u, v, w in cover_edges if group_of[u] != group_of[v])
+        if best is not None and cover_cut >= best[0]:
+            continue
+        rows = []
+        floor = cover_cut
+        for nbrs, deg in zip(links, degrees):
+            row = [deg] * k
+            for u, w in nbrs:
+                row[group_of[u]] -= w
+            rows.append(row)
+            floor += min(row)
+        if best is not None and floor >= best[0]:
+            continue
+        groups += (frozenset(),) * (k - len(groups))
+        placed, cost = min_cost_assignment(rows, [cap - len(grp) for grp in groups])
+        total = cover_cut + cost
+        if best is None or total < best[0]:
+            parts = [set(grp) for grp in groups] + [set() for _ in range(d - k)]
+            for v, j in zip(items, placed):
+                parts[j].add(v)
+            best = (total, tuple(frozenset(p) for p in parts))
+    return best
+
+
+def test_solver_matches_the_parent_split_loop():
+    rng = random.Random(1515)
+    for _ in range(120):
+        g = _graph_with_small_cover(rng)
+        for d in (1, 2, 3, 4, 5):
+            dp, cut = solve_balanced_partition_vc(g, d)
+            want_cut, want_parts = _parent_split_loop(g, d)
+            assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
+
