@@ -71,42 +71,38 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
-    def covered_vertices(self) -> FrozenSet[int]:
-        out: set = set()
-        for b in self.bags.values():
-            out |= b
-        return frozenset(out)
-
     def vertex_nodes_connected(self) -> bool:
-        """Do the nodes holding each vertex induce a connected subtree?"""
-        for v in self.covered_vertices():
-            holding = {x for x, b in self.bags.items() if v in b}
-            start = next(iter(holding))
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.tree[x]:
-                    if y in holding and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if seen != holding:
-                return False
-        return True
+        """Do the nodes holding each vertex induce a connected subtree?
+
+        They do when they span one tree edge fewer than their number, as a
+        forest on h nodes with h - 1 edges is a tree.  Linear in the total
+        bag size: each vertex's node count minus its spanned edges is 1.
+        """
+        spare: Dict[int, int] = {}
+        for bag in self.bags.values():
+            for v in bag:
+                spare[v] = spare.get(v, 0) + 1
+        for x, ys in self.tree.items():
+            for y in ys:
+                if x < y:
+                    for v in self.bags[x] & self.bags[y]:
+                        spare[v] -= 1
+        return all(k == 1 for k in spare.values())
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> bool:
     """Both decomposition axioms: edges covered, vertex subtrees connected
-    and non-empty.  Raises if a bag mentions a vertex outside the graph."""
-    covered = td.covered_vertices()
-    for v in covered:
+    and non-empty.  Raises if a bag mentions a vertex outside the graph.
+    Each edge is looked up in its ends' node sets."""
+    holding: Dict[int, set] = {}
+    for x, bag in td.bags.items():
+        for v in bag:
+            holding.setdefault(v, set()).add(x)
+    for v in holding:
         if not 1 <= v <= g.n:
             raise ValueError(f"bag references unknown vertex {v}")
-    if covered != frozenset(g.vertices):
+    if len(holding) != g.n or any(holding[u].isdisjoint(holding[v]) for u, v in g.edges()):
         return False
-    for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags.values()):
-            return False
     return td.vertex_nodes_connected()
 
 

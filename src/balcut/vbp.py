@@ -1,16 +1,20 @@
 """Minimum-weight c-component separators over nice tree decompositions.
 
-Each decomposition node has a table keyed by the separator slice inside the
-bag, partitions recording how the A- and B-sides meet the bag, a counter of
-finished components, and the target weight of side A.  Tables are filled in
-one bottom-up fold that holds only the tables of nodes whose parent is still
-to come; synthesized forget steps then empty the root bag, and only that
-last table, keyed by (components, A-weight), is kept.  Each entry carries a
-concrete witness (the separator and the A-side realizing the minimum), which
-makes retracing a lookup and tie-breaking reproducible: minimum weight
-first, then the lexicographically smallest separator, then the smallest
-A-side.  A caller that will only query small separators or light A-sides
-passes ``value_max`` / ``ell_max``, and entries beyond them are never made.
+Each decomposition node has a table keyed by a code of how the separator
+and the A- and B-sides meet the bag, a counter of finished components, and
+the A-weight.  A code is a tuple of small ints aligned with the sorted bag:
+0 for a separator vertex, +j / -j for a vertex in A-part / B-part j, parts
+numbered 1, 2, ... by first appearance, so each state has exactly one code.
+Introduce, forget and join compute each code's successor once per step.
+Tables are filled in one bottom-up fold that holds only the tables of nodes
+whose parent is still to come; synthesized forget steps then empty the root
+bag, and only that last table, keyed by (components, A-weight), is kept.
+Each entry carries a concrete witness, the separator and the A-side as
+vertex bitmasks, which makes retracing a lookup and tie-breaking
+reproducible: minimum weight first, then the separator, then the A-side,
+each set compared as its sorted tuple of vertices.  A caller that will only
+query small separators or light A-sides passes ``value_max`` /
+``ell_max``, and entries beyond them are never made.
 
 On top of the table sit the two solvers, both over one min-fill
 decomposition of the whole graph (``td.min_fill_decomposition``):
@@ -22,16 +26,10 @@ heavier side into the separator (``_drive_balance``).
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain
 from math import inf
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .graph import (
-    Graph,
-    Separation,
-    connected_components,
-    count_components_after_removal,
-)
+from .graph import Graph, Separation, connected_components, count_components_after_removal
 from .td import (
     JOIN,
     LEAF,
@@ -42,53 +40,11 @@ from .td import (
 )
 from .torso import build_trimmer  # unused here; perfbench/tracing.py patches this name
 
-Partition = Tuple[FrozenSet[int], ...]
-
-
-def _canon(parts) -> Partition:
-    """Canonical form of a partition: parts ordered by smallest element."""
-    return tuple(sorted((frozenset(p) for p in parts), key=min))
-
 
 class SepEntry(NamedTuple):
     value: int
     s_set: FrozenSet[int]
     a_set: FrozenSet[int]
-
-
-def _rank(entry: SepEntry):
-    return entry.value, tuple(sorted(entry.s_set)), tuple(sorted(entry.a_set))
-
-
-def _put(table, key, entry) -> None:
-    old = table.get(key)
-    if old is None or _rank(entry) < _rank(old):
-        table[key] = entry
-
-
-def _fcc(p1: Partition, p2: Partition) -> Partition:
-    """Finest common coarsening of two partitions of the same ground set."""
-    parent: Dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in chain(p1, p2):
-        it = iter(sorted(part))
-        first = next(it)
-        parent.setdefault(first, first)
-        for v in it:
-            parent.setdefault(v, v)
-            ra, rb = find(first), find(v)
-            if ra != rb:
-                parent[rb] = ra
-    groups: Dict[int, set] = defaultdict(set)
-    for v in parent:
-        groups[find(v)].add(v)
-    return _canon(groups.values())
 
 
 @dataclass
@@ -102,88 +58,128 @@ class SepTable:
         return self.entries.get((c, ell))
 
 
-def _glue(parts: Partition, v: int, nv: FrozenSet[int]) -> Partition:
-    """One side's partition after v joins it: v and every part it touches
-    become one part."""
-    touched = [part for part in parts if part & nv]
-    rest = [part for part in parts if not part & nv]
-    return _canon(rest + [frozenset({v}).union(*touched)])
+def _members(mask: int) -> FrozenSet[int]:
+    bits = bin(mask)
+    top = len(bits) - 1
+    return frozenset(top - i for i, ch in enumerate(bits) if ch == "1")
 
 
-def _introduce_table(g: Graph, child, v: int, value_max, ell_max):
-    table = {}
+def _before(e: tuple, old: tuple) -> bool:
+    """Does witness (S, A) of entry e come before that of ``old``, each set
+    compared as its sorted tuple of vertices?  Entries competing for a key
+    have equal weights, so neither set is a proper subset of the other and
+    the one holding the lowest differing vertex comes first."""
+    x, y = (e[1], old[1]) if e[1] != old[1] else (e[2], old[2])
+    return x & (x ^ y) & -(x ^ y) != 0
+
+
+def _put(table: dict, key: tuple, e: tuple) -> None:
+    old = table.get(key)
+    if old is None or e[0] < old[0] or e[0] == old[0] and _before(e, old):
+        table[key] = e
+
+
+def _relabel(code) -> tuple:
+    """Parts renumbered 1, 2, ... by first appearance, signs kept."""
+    names: Dict[int, int] = {}
+    out = []
+    for x in code:
+        if x:
+            y = names.get(x)
+            if y is None:
+                y = names[x] = len(names) + 1 if x > 0 else -len(names) - 1
+            x = y
+        out.append(x)
+    return tuple(out)
+
+
+def _joined(code: tuple, p: int, nb: List[int], sign: int) -> Optional[tuple]:
+    """The code after a vertex inserted at position p joins side ``sign``
+    (+1 A, -1 B) together with every part it touches at positions ``nb``;
+    None if it touches the other side."""
+    touched = {code[i] for i in nb if code[i]}
+    if any(x * sign < 0 for x in touched):
+        return None
+    fresh = sign * (len(code) + 1)
+    out = [fresh if x in touched else x for x in code]
+    out.insert(p, fresh)
+    return _relabel(out)
+
+
+def _introduce(g: Graph, child: dict, order: tuple, v: int, value_max, ell_max) -> dict:
+    table: dict = {}
+    moves: dict = {}
+    p = order.index(v)
     nv = g.neighbors(v)
-    lam_v = g.vertex_weight(v)
-    for (s_t, p_a, p_b, c, ell), e in child.items():
-        # v joins the separator
-        if e.value + lam_v <= value_max:
-            entry = SepEntry(e.value + lam_v, e.s_set | {v}, e.a_set)
-            _put(table, (s_t | {v}, p_a, p_b, c, ell), entry)
-        # v joins one side, gluing the parts it touches; forbidden if it sees
-        # the other side (ell tracks A only)
-        if ell + lam_v <= ell_max and not any(part & nv for part in p_b):
-            entry = SepEntry(e.value, e.s_set, e.a_set | {v})
-            _put(table, (s_t, _glue(p_a, v, nv), p_b, c, ell + lam_v), entry)
-        if not any(part & nv for part in p_a):
-            _put(table, (s_t, p_a, _glue(p_b, v, nv), c, ell), e)
+    nb = [i for i, u in enumerate(order[:p] + order[p + 1 :]) if u in nv]
+    lam, bit = g.vertex_weight(v), 1 << v
+    for (code, c, ell), e in child.items():
+        value, s, a = e
+        move = moves.get(code)
+        if move is None:
+            to_a, to_b = _joined(code, p, nb, 1), _joined(code, p, nb, -1)
+            move = moves[code] = (code[:p] + (0,) + code[p:], to_a, to_b)
+        to_s, to_a, to_b = move
+        if value + lam <= value_max:
+            _put(table, (to_s, c, ell), (value + lam, s | bit, a))
+        if to_a is not None and ell + lam <= ell_max:
+            _put(table, (to_a, c, ell + lam), (value, s, a | bit))
+        if to_b is not None:
+            _put(table, (to_b, c, ell), e)
     return table
 
 
-def _forget_table(child, v: int, c_max: int):
-    table = {}
-    for (s_t, p_a, p_b, c, ell), e in child.items():
-        if v in s_t:
-            key = (s_t - {v}, p_a, p_b, c, ell)
-        elif any(v in part for part in p_a):
-            kept = [part for part in p_a if v not in part]
-            shrunk = next(part for part in p_a if v in part) - {v}
-            if shrunk:
-                key = (s_t, _canon(kept + [shrunk]), p_b, c, ell)
-            else:
-                if c + 1 > c_max:
-                    continue  # the counter only ever grows upwards
-                key = (s_t, _canon(kept), p_b, c + 1, ell)
-        else:
-            kept = [part for part in p_b if v not in part]
-            shrunk = next(part for part in p_b if v in part) - {v}
-            if shrunk:
-                key = (s_t, p_a, _canon(kept + [shrunk]), c, ell)
-            else:
-                if c + 1 > c_max:
-                    continue
-                key = (s_t, p_a, _canon(kept), c + 1, ell)
-        _put(table, key, e)
-    return table
-
-
-def _join_tables(g: Graph, t1, t2, c_max: int, value_max, ell_max):
-    def grouped(table):
-        groups = defaultdict(list)
-        for key, e in table.items():
-            s_t, p_a, p_b, c, ell = key
-            wa = frozenset().union(*p_a) if p_a else frozenset()
-            groups[(s_t, wa)].append((key, e))
-        return groups
-
-    g1, g2 = grouped(t1), grouped(t2)
-    table = {}
-    for sig, items1 in g1.items():
-        items2 = g2.get(sig)
-        if not items2:
+def _forget(child: dict, p: int, c_max: int) -> dict:
+    """Drop position p; a part whose label no longer appears is finished
+    and counted, unless the counter would pass ``c_max``."""
+    table: dict = {}
+    moves: dict = {}
+    for (code, c, ell), entry in child.items():
+        move = moves.get(code)
+        if move is None:
+            rest = code[:p] + code[p + 1 :]
+            move = moves[code] = (_relabel(rest), code[p] != 0 and code[p] not in rest)
+        rest, done = move
+        if done and c >= c_max:
             continue
-        s_t, wa = sig
-        lam_wa = g.weight_of(wa)
-        lam_st = g.weight_of(s_t)
-        for (k1, e1) in items1:
-            for (k2, e2) in items2:
-                c = k1[3] + k2[3]
-                value = e1.value + e2.value - lam_st
-                ell = k1[4] + k2[4] - lam_wa
-                if c > c_max or value > value_max or ell > ell_max:
-                    continue
-                key = (s_t, _fcc(k1[1], k2[1]), _fcc(k1[2], k2[2]), c, ell)
-                entry = SepEntry(value, e1.s_set | e2.s_set, e1.a_set | e2.a_set)
-                _put(table, key, entry)
+        _put(table, (rest, c + done, ell), entry)
+    return table
+
+
+def _merge(c1: tuple, c2: tuple) -> tuple:
+    """The finest common coarsening of two codes with the same signs."""
+    out = list(c1)
+    for y in set(c2) - {0}:
+        group = {out[i] for i, x in enumerate(c2) if x == y}
+        keep = group.pop()
+        out = [keep if x in group else x for x in out]
+    return _relabel(out)
+
+
+def _join(g: Graph, order: tuple, t1: dict, t2: dict, c_max: int, value_max, ell_max) -> dict:
+    """Every pair of entries whose codes have the same signs (the same
+    separator and A-side in the bag), with the bag's share of both weights,
+    which each child counts, subtracted once."""
+    by_code: Tuple[dict, dict] = ({}, {})
+    for table, codes in zip((t1, t2), by_code):
+        for (code, c, ell), entry in table.items():
+            codes.setdefault(code, []).append((c, ell) + entry)
+    mates = defaultdict(list)
+    for code, items in by_code[1].items():
+        mates[tuple((x > 0) - (x < 0) for x in code)].append((code, items))
+    w = [g.vertex_weight(v) for v in order]
+    table: dict = {}
+    for code1, items1 in by_code[0].items():
+        sg = tuple((x > 0) - (x < 0) for x in code1)
+        lam_s = sum(wi for wi, x in zip(w, sg) if x == 0)
+        lam_a = sum(wi for wi, x in zip(w, sg) if x > 0)
+        for code2, items2 in mates[sg]:
+            code = _merge(code1, code2)
+            for c1, ell1, v1, s1, a1 in items1:
+                for c2, ell2, v2, s2, a2 in items2:
+                    c, value, ell = c1 + c2, v1 + v2 - lam_s, ell1 + ell2 - lam_a
+                    if c <= c_max and value <= value_max and ell <= ell_max:
+                        _put(table, (code, c, ell), (value, s1 | s2, a1 | a2))
     return table
 
 
@@ -206,20 +202,22 @@ def _step(
     c_max: int,
     value_max: float = inf,
     ell_max: float = inf,
-):
-    """The table of one step from its children's tables; entries with
-    separator weight above ``value_max`` or A-weight above ``ell_max`` are
-    never made."""
+) -> dict:
+    """The table of one step from its children's tables: (code, c, ell) ->
+    (separator weight, separator mask, A mask), codes aligned with the
+    sorted bag.  Entries with separator weight above ``value_max`` or
+    A-weight above ``ell_max`` are never made."""
+    order = tuple(sorted(bag))
     if kind == LEAF:  # the empty-state table, then the bag vertex (if any) introduced
-        table = {(frozenset(), (), (), 0, 0): SepEntry(0, frozenset(), frozenset())}
-        for v in bag:
-            table = _introduce_table(g, table, v, value_max, ell_max)
+        table = {((), 0, 0): (0, 0, 0)}
+        for v in order:
+            table = _introduce(g, table, order, v, value_max, ell_max)
         return table
     if kind == JOIN:
-        return _join_tables(g, kids[0], kids[1], c_max, value_max, ell_max)
+        return _join(g, order, kids[0], kids[1], c_max, value_max, ell_max)
     if kind[0] == "introduce":
-        return _introduce_table(g, kids[0], kind[1], value_max, ell_max)
-    return _forget_table(kids[0], kind[1], c_max)
+        return _introduce(g, kids[0], order, kind[1], value_max, ell_max)
+    return _forget(kids[0], sorted(bag | {kind[1]}).index(kind[1]), c_max)
 
 
 def sep_dp(
@@ -255,7 +253,9 @@ def sep_dp(
         del live[k:]
         live.append(_step(g, kind, bag, kids, c_max, value_max, ell_max))
     (root,) = live
-    return SepTable({(c, ell): e for (_, _, _, c, ell), e in root.items()})
+    return SepTable(
+        {(c, ell): SepEntry(v, _members(s), _members(a)) for (_, c, ell), (v, s, a) in root.items()}
+    )
 
 
 def min_weight_separator(g: Graph, c: int, s: int) -> Optional[Separation]:

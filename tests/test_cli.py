@@ -11,8 +11,10 @@ import sys
 import pytest
 
 from balcut import cli, formats
-from balcut.graph import Graph
+from balcut.graph import Graph, path_graph
 from balcut.qexpr import family_qexpr, forest_qexpr
+
+from .conftest import grid_graph
 
 C6 = "p tw 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
 K3 = "p tw 3 3\n1 2\n1 3\n2 3\n"
@@ -69,6 +71,23 @@ def test_vbisect_long_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "vbisect", "--graph", str(gf), "--k", "1")
     assert code == 0
     assert out.splitlines()[:1] == ["sep 1"]
+
+
+# (graph, k, part of each vertex in order): the witnesses printed before
+# the separator table had integer codes; 0 is A, 1 is B, 2 the separator
+VBISECT_FROZEN = [
+    (grid_graph(6, 6), 6, "200000120000112000111200111120111112"),
+    (path_graph(1000), 1, "0" * 499 + "2" + "1" * 500),
+]
+
+
+@pytest.mark.parametrize("g,k,parts", VBISECT_FROZEN, ids=["grid6x6-k6", "path1000-k1"])
+def test_vbisect_bytes_are_frozen_on_large_inputs(tmp_path, capsys, g, k, parts):
+    gf = tmp_path / "g.gr"
+    gf.write_text(formats.emit_graph(g))
+    code, out, _ = run_cli(capsys, "vbisect", "--graph", str(gf), "--k", str(k))
+    assert code == 0
+    assert out == f"sep {k}\n" + "".join(f"{v} {j}\n" for v, j in enumerate(parts, 1))
 
 
 def test_bisect_with_automatic_deletion_set(c6, capsys):

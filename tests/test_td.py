@@ -1,11 +1,14 @@
 """Tree decompositions: axioms, nice form, exact width search."""
 
+import random
+
 import pytest
 
 from balcut.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from balcut.td import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    _elimination_decomposition,
     _min_fill_order,
     exact_treewidth_small,
     make_nice,
@@ -51,6 +54,73 @@ def test_validate_td_disconnected_subtree():
 def test_validate_td_unknown_vertex():
     with pytest.raises(ValueError):
         validate_td(path_graph(2), TreeDecomposition({1: [1, 2, 9]}, []))
+
+
+def _scanning_validate_td(g, td):
+    # the axioms checked directly: every bag scanned for every vertex and
+    # for every edge, and each vertex's nodes walked in the tree
+    covered = frozenset().union(*td.bags.values())
+    for v in covered:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"bag references unknown vertex {v}")
+    if covered != frozenset(g.vertices):
+        return False
+    for u, v in g.edges():
+        if not any(u in b and v in b for b in td.bags.values()):
+            return False
+    for v in covered:
+        holding = {x for x, b in td.bags.items() if v in b}
+        start = next(iter(holding))
+        seen, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for y in td.tree[x]:
+                if y in holding and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != holding:
+            return False
+    return True
+
+
+def _outcome(check, g, td):
+    try:
+        return check(g, td)
+    except ValueError as err:
+        return str(err)
+
+
+def test_validate_td_matches_the_scanning_check():
+    """Valid decompositions (min-fill, random elimination orders, nice
+    forms) and corrupted ones: a vertex dropped from a bag, added to a
+    bag, or a vertex outside the graph added.  Both checks give the same
+    answer or the same error."""
+    rng = random.Random(20261019)
+    answers = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.uniform(0.05, 0.5), seed=rng.randrange(10**6))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        for td in (min_fill_decomposition(g), _elimination_decomposition(g, order)):
+            if rng.random() < 0.3:
+                td = make_nice(td)
+            bags = {x: set(b) for x, b in td.bags.items()}
+            x = rng.choice(sorted(bags))
+            change = rng.randrange(4)
+            if change == 1 and bags[x]:
+                bags[x].discard(rng.choice(sorted(bags[x])))
+            elif change == 2:
+                bags[x].add(rng.randint(1, n))
+            elif change == 3:
+                bags[x].add(rng.choice([0, n + 1]))
+            edges = [(y, z) for y in td.tree for z in td.tree[y] if y < z]
+            candidate = TreeDecomposition(bags, edges, td.root)
+            want = _outcome(_scanning_validate_td, g, candidate)
+            assert _outcome(validate_td, g, candidate) == want, (sorted(g.edges()), bags, edges)
+            if isinstance(want, bool):
+                answers[want] += 1
+    assert min(answers.values()) > 30, answers
 
 
 def test_validate_td_missing_vertex():

@@ -43,21 +43,44 @@ def build_table(g, c_max):
     return sep_dp(g, make_nice(td), c_max)
 
 
+def decode(order, code):
+    """(separator slice, A-parts, B-parts) of a code over the sorted bag
+    ``order``; parts are frozensets ordered by their smallest vertex."""
+    parts = {}
+    for v, x in zip(order, code):
+        parts.setdefault(x, set()).add(v)
+
+    def side(sign):
+        return tuple(sorted((frozenset(p) for x, p in parts.items() if x * sign > 0), key=min))
+
+    return frozenset(parts.get(0, ())), side(1), side(-1)
+
+
 def replay(g, c_max):
     """Every table ``sep_dp`` builds, in its order: (kind, bag, vertices
     below, table) per decomposition node, then per synthesized forget that
-    empties the root bag.  Checks that the last one is the root map that
-    ``sep_dp`` returns."""
+    empties the root bag.  Tables are decoded to (separator slice, A-parts,
+    B-parts, c, ell) -> SepEntry with vertex sets.  Checks that the last
+    one is the root map that ``sep_dp`` returns."""
     _, td = exact_treewidth_small(g)
     ntd = make_nice(td)
+
+    def vertex_set(mask):
+        return frozenset(v for v in g.vertices if mask >> v & 1)
+
     live, steps = [], []
     for kind, bag, arity in _steps(ntd):
         k = len(live) - arity
         kids = live[k:]
         del live[k:]
-        table = _step(g, kind, bag, [t for _, t in kids], c_max)
-        below = set(bag).union(*(vs for vs, _ in kids))
-        live.append((below, table))
+        coded = _step(g, kind, bag, [t for _, t, _ in kids], c_max)
+        order = sorted(bag)
+        table = {
+            (*decode(order, code), c, ell): SepEntry(value, vertex_set(s), vertex_set(a))
+            for (code, c, ell), (value, s, a) in coded.items()
+        }
+        below = set(bag).union(*(vs for vs, _, _ in kids))
+        live.append((below, coded, table))
         steps.append((kind, bag, below, table))
     # above the root, its bag is shed one vertex at a time in vertex order
     root_bag = sorted(ntd.bags[ntd.root])
@@ -461,3 +484,26 @@ def test_budget_monotonicity():
             ]
             if feasible_at:
                 assert feasible_at == list(range(feasible_at[0], 4))
+
+
+def test_budget_monotonicity_past_the_oracle():
+    """On seeded sparse G(n, p) with n = 12..30: once some k is feasible
+    every larger k is, and the separator found never grows with k; as each
+    k is answered exactly, it is the smallest feasible k every time."""
+    rng = random.Random(20261019)
+    feasible_graphs = 0
+    for _ in range(24):
+        n = rng.randint(12, 30)
+        g = random_connected_graph(n, rng.uniform(0.0, 1.0 / n), seed=rng.randrange(10**6))
+        c = rng.choice((2, 2, 3))
+        sizes = []
+        for k in range(8):
+            sol = solve_vertex_bisection(g, k, c)
+            sizes.append(None if sol is None else len(sol.s))
+        feasible = [k for k, size in enumerate(sizes) if size is not None]
+        if feasible:
+            feasible_graphs += 1
+            first = feasible[0]
+            assert feasible == list(range(first, 8)), (sorted(g.edges()), c, sizes)
+            assert sizes[first:] == [first] * len(feasible), (sorted(g.edges()), c, sizes)
+    assert feasible_graphs >= 18
