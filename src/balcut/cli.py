@@ -136,9 +136,10 @@ def _emit_dot(g: Graph, path: str) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _require_unweighted(g: Graph, what: str) -> None:
-    if not (g.is_unit_vertex_weighted() and g.is_unit_edge_weighted()):
-        raise InputError(f"{what} expects an unweighted graph")
+def _useful_parts(g: Graph, d: int) -> int:
+    """Past n parts every extra part is empty and the size cap stays 1, so
+    solving for min(d, n) parts prints the same solution file as for d."""
+    return min(d, max(g.n, 1))
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +149,8 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 def _cmd_bisect(args) -> int:
     g = _load_graph(args.graph)
-    _require_unweighted(g, "bisect")
+    if not g.is_unit_vertex_weighted():
+        raise InputError("bisect balances vertex counts; the graph must not carry vertex weights")
     if g.n == 0:
         raise InputError("the empty graph has no bisection")
     if args.deletion is not None:
@@ -172,7 +174,6 @@ def _cmd_bisect(args) -> int:
 
 def _cmd_vbisect(args) -> int:
     g = _load_graph(args.graph)
-    _require_unweighted(g, "vbisect")
     if args.k < 0:
         raise InputError("--k must be non-negative")
     if args.c < 2:
@@ -200,7 +201,7 @@ def _cmd_bpart(args) -> int:
         raise InputError("bpart balances vertex counts; the graph must not carry vertex weights")
     if args.d < 1:
         raise InputError("--d must be at least 1")
-    dp, cut = solve_balanced_partition_vc(g, args.d)
+    dp, cut = solve_balanced_partition_vc(g, _useful_parts(g, args.d))
     if not (dp.is_valid(g) and cut_size(g, dp) == cut):
         raise AssertionError("solver produced an answer that fails self-checks")
     if args.dot:
@@ -340,7 +341,7 @@ def _cmd_oracle(args) -> int:
         elif args.problem == "bpart":
             if args.d is None:
                 raise InputError("oracle bpart needs --d")
-            res = brute_balanced_partition(g, args.d)
+            res = brute_balanced_partition(g, _useful_parts(g, args.d))
         else:
             res = brute_maxcut(g)
     except OracleSizeError as exc:

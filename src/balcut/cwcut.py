@@ -27,7 +27,7 @@ one split, with its witnesses as vertex sets of G.
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graph import Bipartition, Graph, validate_bisection
+from .graph import Bipartition, Graph, mask_members, validate_bisection
 from .qexpr import (
     Create,
     Join,
@@ -40,11 +40,6 @@ from .qexpr import (
 )
 
 Vector = Tuple[int, ...]
-
-
-def _members(mask: int) -> List[int]:
-    """The expression vertices whose bits are set in ``mask``."""
-    return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def _put(table: dict, key: int, value: int, mask: int) -> None:
@@ -170,7 +165,7 @@ def cut_dp(
     corr = _match_expression(g, d_set, eval_qexpr(phi))
     counts, root = _fill(g, a0, b0, phi, phi.q, corr)
     return counts, {
-        a: (value, frozenset(corr[v] for v in _members(mask)))
+        a: (value, frozenset(corr[v] for v in mask_members(mask)))
         for a, (value, mask) in root.items()
     }
 
@@ -312,7 +307,7 @@ def solve_bisection_cwd(
         _, root = _fill(g, a0, d_set - a0, phi, q, corr, lo, hi, value_max)
         for value, mask in root.values():
             cut = internal + value
-            a = a0 | frozenset(corr[v] for v in _members(mask))
+            a = a0 | frozenset(corr[v] for v in mask_members(mask))
             rank = (cut, tuple(sorted(a)))
             if best is None or rank < best[0]:
                 best = (rank, Bipartition(a, frozenset(g.vertices) - a), cut)

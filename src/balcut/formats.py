@@ -1,9 +1,9 @@
-"""Text formats: .gr graphs, .td tree decompositions, q-expressions, solutions.
+"""Text formats: .gr graphs, q-expressions, solutions.
 
-The graph and decomposition formats follow the PACE conventions (`p tw`
-header, `b` bag lines).  Weighted graphs use the reserved prefixes `w`
-(vertex weight) and `e` (weighted edge), which strict PACE readers that
-skip unknown line types will simply ignore.
+The graph format follows the PACE conventions (`p tw` header, one edge
+per line).  Weighted graphs use the reserved prefixes `w` (vertex weight)
+and `e` (weighted edge), which strict PACE readers that skip unknown line
+types will simply ignore.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import Graph
 from .qexpr import Create, Join, QExpression, Rename, Union
-from .td import TreeDecomposition
 
 
 class ParseError(ValueError):
@@ -145,96 +144,6 @@ def emit_graph(g: Graph, comments: Iterable[str] = ()) -> str:
 
 
 # --------------------------------------------------------------------------
-# tree decompositions (.td)
-# --------------------------------------------------------------------------
-
-
-def parse_td(text: str) -> Tuple[TreeDecomposition, int]:
-    """Read an `s td` file; returns (decomposition, declared vertex count)."""
-    header: Optional[Tuple[int, int, int]] = None
-    bags: Dict[int, List[int]] = {}
-    bag_line: Dict[int, int] = {}
-    tree_edges: List[Tuple[int, int]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks or toks[0][0] == "c":
-            continue
-        kind, col0 = toks[0]
-        if kind == "s":
-            if header is not None:
-                raise ParseError("second s-line", lineno, col0)
-            if len(toks) != 5 or toks[1][0] != "td":
-                raise ParseError("expected `s td <#bags> <width+1> <n>`", lineno, col0)
-            nb = _int(toks[2][0], lineno, toks[2][1], "a bag count")
-            w1 = _int(toks[3][0], lineno, toks[3][1], "a width bound")
-            n = _int(toks[4][0], lineno, toks[4][1], "a vertex count")
-            if nb < 1:
-                raise ParseError("need at least one bag", lineno, toks[2][1])
-            header = (nb, w1, n)
-            continue
-        if header is None:
-            raise ParseError("body line before the s-line", lineno, col0)
-        nb, w1, n = header
-        if kind == "b":
-            if len(toks) < 2:
-                raise ParseError("expected `b <id> <vertices...>`", lineno, col0)
-            bid = _int(toks[1][0], lineno, toks[1][1], "a bag id")
-            if not 1 <= bid <= nb:
-                raise ParseError(f"bag id {bid} out of range 1..{nb}", lineno, toks[1][1])
-            if bid in bag_line:
-                raise ParseError(f"bag {bid} repeats line {bag_line[bid]}", lineno, toks[1][1])
-            bag_line[bid] = lineno
-            content = []
-            for tok, col in toks[2:]:
-                v = _int(tok, lineno, col, "a vertex")
-                if not 1 <= v <= n:
-                    raise ParseError(f"vertex {v} out of range 1..{n}", lineno, col)
-                content.append(v)
-            bags[bid] = content
-        else:
-            if len(toks) != 2:
-                raise ParseError(f"unrecognized line kind {kind!r}", lineno, col0)
-            x = _int(toks[0][0], lineno, toks[0][1], "a bag id")
-            y = _int(toks[1][0], lineno, toks[1][1], "a bag id")
-            for bid, col in ((x, toks[0][1]), (y, toks[1][1])):
-                if not 1 <= bid <= nb:
-                    raise ParseError(f"bag id {bid} out of range 1..{nb}", lineno, col)
-            tree_edges.append((x, y))
-
-    if header is None:
-        raise ParseError("missing `s td` header")
-    nb, w1, n = header
-    missing = sorted(set(range(1, nb + 1)) - set(bags))
-    if missing:
-        raise ParseError(f"missing b-line for bag {missing[0]}")
-    widest = max(len(set(b)) for b in bags.values())
-    if widest != w1:
-        raise ParseError(f"header declares width+1 = {w1} but the largest bag has {widest}")
-    try:
-        td = TreeDecomposition(bags, tree_edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return td, n
-
-
-def emit_td(td: TreeDecomposition, n: int) -> str:
-    """Serialize a decomposition; bag ids are renumbered 1..#bags."""
-    nodes = td.nodes
-    new_id = {x: i for i, x in enumerate(nodes, start=1)}
-    out = [f"s td {len(nodes)} {td.width + 1} {n}"]
-    for x in nodes:
-        out.append(" ".join(["b", str(new_id[x])] + [str(v) for v in sorted(td.bags[x])]))
-    seen = set()
-    for x in nodes:
-        for y in sorted(td.tree[x]):
-            if (y, x) not in seen:
-                seen.add((x, y))
-                out.append(f"{new_id[x]} {new_id[y]}")
-    return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
 # q-expressions
 # --------------------------------------------------------------------------
 
@@ -270,9 +179,6 @@ class _QParser:
             offset = self.toks[self.pos][1] if self.pos < len(self.toks) else len(self.text)
         line, col = _line_col(self.text, offset)
         raise ParseError(message, line, col)
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def take(self, want: Optional[str] = None) -> Tuple[str, int]:
         if self.pos >= len(self.toks):

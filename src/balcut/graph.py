@@ -193,7 +193,10 @@ class DPartition:
     parts: Tuple[FrozenSet[int], ...]
 
     def __init__(self, parts: Sequence[Iterable[int]]):
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in parts))
+        parts = tuple(frozenset(p) for p in parts)
+        if not parts:
+            raise ValueError("a partition needs at least one part")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def d(self) -> int:
@@ -208,14 +211,13 @@ class DPartition:
             seen |= p
         return seen == set(g.vertices)
 
-    def part_of(self, v: int) -> int:
-        for i, p in enumerate(self.parts, start=1):
-            if v in p:
-                return i
-        raise KeyError(v)
-
 
 # -- operations ------------------------------------------------------------
+
+
+def mask_members(mask: int) -> List[int]:
+    """The set bits of ``mask`` in increasing order (bit v stands for v)."""
+    return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> List[FrozenSet[int]]:

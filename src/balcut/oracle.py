@@ -12,20 +12,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .graph import Bipartition, DPartition, Graph, Separation, connected_components, cut_size
+from .graph import Bipartition, DPartition, Graph, Separation, connected_components
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of a brute-force run.
 
-    optimum is None when no candidate satisfies the constraints (infeasible);
-    explored counts the candidates examined before returning.
+    optimum is None when no candidate satisfies the constraints (infeasible).
     """
 
     optimum: Optional[int]
     witness: Optional[Union[Bipartition, Separation, DPartition]]
-    explored: int
 
     @property
     def feasible(self) -> bool:
@@ -56,7 +54,7 @@ def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
     if n > 24:
         raise OracleSizeError(f"brute_bisection handles n <= 24, got {n}")
     if n == 0:
-        return OracleResult(0, Bipartition((), ()), 1)
+        return OracleResult(0, Bipartition((), ()))
 
     half = n // 2
     verts = list(g.vertices)
@@ -66,11 +64,9 @@ def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
 
     best = None
     best_a = None
-    explored = 0
     for combo in combinations(verts, half):
         if n % 2 == 0 and half > 0 and combo[0] != 1:
             continue
-        explored += 1
         if unit:
             amask = 0
             for v in combo:
@@ -85,7 +81,7 @@ def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
             best = cut
             best_a = combo
     a = set(best_a)
-    return OracleResult(best, Bipartition(a, set(verts) - a), explored)
+    return OracleResult(best, Bipartition(a, set(verts) - a))
 
 
 def brute_vertex_bisection(g: Graph, k: int, c: Optional[int] = None) -> OracleResult:
@@ -106,10 +102,8 @@ def brute_vertex_bisection(g: Graph, k: int, c: Optional[int] = None) -> OracleR
         raise ValueError("k must be non-negative")
 
     verts = list(g.vertices)
-    explored = 0
     for size in range(0, min(k, g.n) + 1):
         for s_combo in combinations(verts, size):
-            explored += 1
             s = frozenset(s_combo)
             comps = connected_components(g, within=(v for v in verts if v not in s))
             if c is not None and len(comps) != c:
@@ -126,8 +120,8 @@ def brute_vertex_bisection(g: Graph, k: int, c: Optional[int] = None) -> OracleR
                         if mask >> i & 1:
                             a |= comps[i]
                     b = set(verts) - s - a
-                    return OracleResult(size, Separation(s, a, b), explored)
-    return OracleResult(None, None, explored)
+                    return OracleResult(size, Separation(s, a, b))
+    return OracleResult(None, None)
 
 
 def _restricted_growth_strings(n: int, max_groups: int, cap: int):
@@ -160,15 +154,13 @@ def brute_balanced_partition(g: Graph, d: int) -> OracleResult:
         raise ValueError("d must be at least 1")
     n = g.n
     if n == 0:
-        return OracleResult(0, DPartition([frozenset()] * d), 1)
+        return OracleResult(0, DPartition([frozenset()] * d))
     cap = -(-n // d)
     verts = list(g.vertices)
 
     best = None
     best_assign = None
-    explored = 0
     for assign in _restricted_growth_strings(n, d, cap):
-        explored += 1
         cut = 0
         for u, v in g.edges():
             if assign[u - 1] != assign[v - 1]:
@@ -179,7 +171,7 @@ def brute_balanced_partition(g: Graph, d: int) -> OracleResult:
     parts = [set() for _ in range(d)]
     for v, grp in zip(verts, best_assign):
         parts[grp].add(v)
-    return OracleResult(best, DPartition(parts), explored)
+    return OracleResult(best, DPartition(parts))
 
 
 def brute_maxcut(g: Graph) -> OracleResult:
@@ -193,7 +185,7 @@ def brute_maxcut(g: Graph) -> OracleResult:
     if n > 20:
         raise OracleSizeError(f"brute_maxcut handles n <= 20, got {n}")
     if n == 0:
-        return OracleResult(0, Bipartition((), ()), 1)
+        return OracleResult(0, Bipartition((), ()))
 
     adj = _adj_masks(g)
     unit = g.is_unit_edge_weighted()
@@ -229,4 +221,4 @@ def brute_maxcut(g: Graph) -> OracleResult:
     best_mask = max(range(total), key=lambda mk: (cut[mk], -mk))
     a = {1} | {i + 2 for i in range(n - 1) if best_mask >> i & 1}
     b = set(g.vertices) - a
-    return OracleResult(cut[best_mask], Bipartition(a, b), total)
+    return OracleResult(cut[best_mask], Bipartition(a, b))

@@ -64,10 +64,6 @@ class TreeDecomposition:
         return len(seen) == len(adj)
 
     @property
-    def nodes(self) -> List[int]:
-        return sorted(self.bags)
-
-    @property
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
@@ -120,7 +116,6 @@ class NiceTreeDecomposition(TreeDecomposition):
     def __init__(self, bags, parent: Dict[int, Optional[int]], kind: Dict[int, tuple], root: int):
         edges = [(x, p) for x, p in parent.items() if p is not None]
         super().__init__(bags, edges, root)
-        self.parent = dict(parent)
         self.kind = dict(kind)
         kids: Dict[int, List[int]] = {x: [] for x in self.bags}
         for x, p in parent.items():

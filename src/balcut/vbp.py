@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from math import inf
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph, Separation, connected_components, count_components_after_removal
+from .graph import (
+    Graph,
+    Separation,
+    connected_components,
+    count_components_after_removal,
+    mask_members,
+)
 from .td import (
     JOIN,
     LEAF,
@@ -56,12 +62,6 @@ class SepTable:
 
     def query(self, c: int, ell: int) -> Optional[SepEntry]:
         return self.entries.get((c, ell))
-
-
-def _members(mask: int) -> FrozenSet[int]:
-    bits = bin(mask)
-    top = len(bits) - 1
-    return frozenset(top - i for i, ch in enumerate(bits) if ch == "1")
 
 
 def _before(e: tuple, old: tuple) -> bool:
@@ -254,7 +254,10 @@ def sep_dp(
         live.append(_step(g, kind, bag, kids, c_max, value_max, ell_max))
     (root,) = live
     return SepTable(
-        {(c, ell): SepEntry(v, _members(s), _members(a)) for (_, c, ell), (v, s, a) in root.items()}
+        {
+            (c, ell): SepEntry(v, frozenset(mask_members(s)), frozenset(mask_members(a)))
+            for (_, c, ell), (v, s, a) in root.items()
+        }
     )
 
 

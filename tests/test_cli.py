@@ -55,6 +55,24 @@ def test_vbisect_reports_infeasible(c6, capsys):
     assert "infeasible" in err
 
 
+def test_vbisect_ignores_edge_weights(tmp_path, capsys):
+    weighted = tmp_path / "w.gr"
+    weighted.write_text("p tw 4 3\n1 2\ne 2 3 5\n3 4\n")
+    plain = tmp_path / "p.gr"
+    plain.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
+    code, out, _ = run_cli(capsys, "vbisect", "--graph", str(weighted), "--k", "1")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "vbisect", "--graph", str(plain), "--k", "1")[:2]
+
+
+def test_vbisect_rejects_vertex_weights(tmp_path, capsys):
+    p = tmp_path / "w.gr"
+    p.write_text("p tw 3 2\nw 2 3\n1 2\n2 3\n")
+    code, out, err = run_cli(capsys, "vbisect", "--graph", str(p), "--k", "1")
+    assert code == 2 and out == ""
+    assert "unit-weight" in err
+
+
 def test_vbisect_past_the_exact_treewidth_limit(tmp_path, capsys):
     n = 16
     gf = tmp_path / "path.gr"
@@ -164,6 +182,7 @@ def test_bisect_rejects_weighted_graphs(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bisect", "--graph", str(p))
     assert code == 2
     assert "unweighted" in err
+    assert "gen unweight" in err
 
 
 def test_bpart_solution_verifies(tmp_path, capsys):
@@ -200,6 +219,28 @@ def test_bpart_past_n_parts_prints_the_n_part_answer(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "bpart", "--graph", str(p), "--d", "120")
     assert code == 0 and out == want
+
+
+@pytest.mark.parametrize("text", [P3, "p tw 0 0\n"], ids=["path3", "empty"])
+def test_huge_d_solves_for_at_most_n_parts(tmp_path, capsys, monkeypatch, text):
+    g = formats.parse_graph(text)
+    for name in ("solve_balanced_partition_vc", "brute_balanced_partition"):
+        solver = getattr(cli, name)
+
+        def capped(h, d, solver=solver):
+            if d > max(h.n, 1):
+                raise AssertionError(f"asked for {d} parts on {h.n} vertices")
+            return solver(h, d)
+
+        monkeypatch.setattr(cli, name, capped)
+    p = tmp_path / "g.gr"
+    p.write_text(text)
+    n = str(max(g.n, 1))
+    for cmd in (["bpart"], ["oracle", "bpart"]):
+        code, want, _ = run_cli(capsys, *cmd, "--graph", str(p), "--d", n)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *cmd, "--graph", str(p), "--d", "1000000000")
+        assert code == 0 and out == want
 
 
 def test_bpart_takes_edge_weights(tmp_path, capsys):

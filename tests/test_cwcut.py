@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcut.cwcut import _fill, _match_expression, _members, cut_dp, solve_bisection_cwd
-from balcut.graph import Bipartition, Graph, complete_graph, cut_size, cycle_graph, path_graph
+from balcut.cwcut import _fill, _match_expression, cut_dp, solve_bisection_cwd
+from balcut.graph import (
+    Bipartition,
+    Graph,
+    complete_graph,
+    cut_size,
+    cycle_graph,
+    mask_members,
+    path_graph,
+)
 from balcut.oracle import brute_bisection
 from balcut.qexpr import (
     Create,
@@ -195,7 +203,7 @@ def test_bounded_table_is_the_unbounded_one_restricted():
         corr = _match_expression(g, d, eval_qexpr(phi))
         got_counts, got = _fill(g, a0, d - a0, phi, phi.q, corr, lo, hi, value_max)
         assert (got_counts, {
-            a: (value, frozenset(corr[v] for v in _members(mask)))
+            a: (value, frozenset(corr[v] for v in mask_members(mask)))
             for a, (value, mask) in got.items()
         }) == (
             counts,

@@ -10,15 +10,12 @@ from balcut.formats import (
     emit_graph,
     emit_qexpr,
     emit_solution,
-    emit_td,
     parse_graph,
     parse_qexpr,
     parse_solution,
-    parse_td,
 )
 from balcut.graph import Graph
 from balcut.qexpr import Create, Join, Rename, Union, eval_qexpr
-from balcut.td import exact_treewidth_small, validate_td
 
 from .conftest import random_graph
 
@@ -89,49 +86,6 @@ def test_graph_errors_carry_positions():
         parse_graph("p tw 2 1\n1 3\n")
     assert info.value.line == 2
     assert info.value.col == 3
-
-
-# --------------------------------------------------------------------------
-# tree decompositions
-# --------------------------------------------------------------------------
-
-
-def test_td_round_trip_on_solved_decompositions():
-    for seed in range(6):
-        g = random_graph(6, 0.45, seed)
-        _, td = exact_treewidth_small(g)
-        text = emit_td(td, g.n)
-        td2, n2 = parse_td(text)
-        assert n2 == g.n
-        assert validate_td(g, td2)
-        assert emit_td(td2, n2) == text
-
-
-def test_td_parse_shape():
-    td, n = parse_td("c note\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
-    assert n == 3
-    assert td.bags[1] == frozenset((1, 2))
-    assert td.width == 1
-
-
-@pytest.mark.parametrize(
-    "text,complaint",
-    [
-        ("b 1 1\n", "before the s-line"),
-        ("s td 1 1 1\ns td 1 1 1\nb 1 1\n", "second s-line"),
-        ("s td 2 1 1\nb 1 1\n", "missing b-line for bag 2"),
-        ("s td 1 2 1\nb 1 1\n", "largest bag has 1"),
-        ("s td 2 1 2\nb 1 1\nb 1 2\n1 2\n", "repeats"),
-        ("s td 1 1 1\nb 1 2\n", "out of range"),
-        ("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n", "out of range"),
-        ("s td 2 1 2\nb 1 1\nb 2 2\n", "do not form a tree"),
-        ("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 3\n1 3\n", "do not form a tree"),
-        ("", "missing"),
-    ],
-)
-def test_td_parse_errors(text, complaint):
-    with pytest.raises(ParseError, match=complaint):
-        parse_td(text)
 
 
 # --------------------------------------------------------------------------

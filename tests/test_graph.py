@@ -13,6 +13,7 @@ from balcut.graph import (
     cut_size,
     cycle_graph,
     is_balanced_separator,
+    mask_members,
     path_graph,
     star_graph,
     validate_bisection,
@@ -145,8 +146,18 @@ def test_dpartition_validity():
     assert not DPartition([{1, 2, 3}, {4}, {5}]).is_valid(g)  # part too big
     assert not DPartition([{1, 2}, {3, 4}]).is_valid(g)  # misses 5
     assert not DPartition([{1, 2}, {2, 3}, {4, 5}]).is_valid(g)  # overlap
-    p = DPartition([{1, 2}, {3, 4}, {5}])
-    assert p.part_of(3) == 2 and p.d == 3
+    assert DPartition([{1, 2}, {3, 4}, {5}]).d == 3
+
+
+def test_dpartition_needs_a_part():
+    with pytest.raises(ValueError, match="at least one part"):
+        DPartition([])
+
+
+def test_mask_members_lists_set_bits_in_order():
+    assert mask_members(0) == []
+    assert mask_members(0b101101) == [0, 2, 3, 5]
+    assert mask_members(1 << 70) == [70]
 
 
 def test_validate_bisection():
