@@ -337,6 +337,8 @@ def _cmd_oracle(args) -> int:
         elif args.problem == "vbisect":
             if args.k is None:
                 raise InputError("oracle vbisect needs --k")
+            if args.c is not None and args.c < 2:
+                raise InputError("--c must be at least 2")
             res = brute_vertex_bisection(g, args.k, args.c)
         elif args.problem == "bpart":
             if args.d is None:

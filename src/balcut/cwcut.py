@@ -37,6 +37,7 @@ from .qexpr import (
     fold_qexpr,
     joins_are_full,
     normalize_qexpr,
+    postorder,
 )
 
 Vector = Tuple[int, ...]
@@ -163,7 +164,7 @@ def cut_dp(
             "expression has a non-full join; run normalize_qexpr on it first"
         )
     corr = _match_expression(g, d_set, eval_qexpr(phi))
-    counts, root = _fill(g, a0, b0, phi, phi.q, corr)
+    counts, root = _fill(g, a0, b0, postorder(phi), phi.q, corr)
     return counts, {
         a: (value, frozenset(corr[v] for v in mask_members(mask)))
         for a, (value, mask) in root.items()
@@ -174,7 +175,7 @@ def _fill(
     g: Graph,
     a0: FrozenSet[int],
     b0: FrozenSet[int],
-    phi: QExpression,
+    nodes: List[QExpression],
     q: int,
     corr: Dict[int, int],
     lo: int = 0,
@@ -183,8 +184,9 @@ def _fill(
 ) -> Tuple[Vector, Dict[Vector, Tuple[int, int]]]:
     """The root's label counts and its map from A-side count vectors to
     (cut, A-side bitmask), for the split (a0, b0) of the deletion set and a
-    ``q``-label expression whose joins are all full and whose vertices
-    ``corr`` maps onto G minus the deletion set; the callers check both.
+    ``q``-label expression, given as its ``postorder`` list, whose joins are
+    all full and whose vertices ``corr`` maps onto G minus the deletion set;
+    the callers check both.
 
     Only root entries with between ``lo`` and ``hi`` A-side vertices and a
     value of at most ``value_max`` are kept, and no entry that cannot lead
@@ -259,7 +261,7 @@ def _fill(
             _put(table, a + ((a >> si) & ones) * step, value, mask)
         return counts + ((counts >> si) & ones) * step, m, table
 
-    counts, _, root = fold_qexpr(phi, visit)
+    counts, _, root = fold_qexpr(nodes, visit)
 
     def unpack(packed: int) -> Vector:
         return tuple((packed >> s) & ones for s in shift)
@@ -294,6 +296,7 @@ def solve_bisection_cwd(
 
     n = g.n
     q = phi.q
+    nodes = postorder(phi)  # one walk serves every split
     d_sorted = sorted(d_set)
     d_edges = [(u, v) for u, v in g.edges() if u in d_set and v in d_set]
     best: Optional[Tuple[tuple, Bipartition, int]] = None
@@ -304,7 +307,7 @@ def solve_bisection_cwd(
         if hi < 0 or lo > len(corr) or (best is not None and internal > best[2]):
             continue
         value_max = None if best is None else best[2] - internal
-        _, root = _fill(g, a0, d_set - a0, phi, q, corr, lo, hi, value_max)
+        _, root = _fill(g, a0, d_set - a0, nodes, q, corr, lo, hi, value_max)
         for value, mask in root.values():
             cut = internal + value
             a = a0 | frozenset(corr[v] for v in mask_members(mask))

@@ -131,12 +131,16 @@ def postorder(expr: QExpression) -> List[QExpression]:
     return out
 
 
-def fold_qexpr(expr: QExpression, visit: Callable[[int, QExpression, list], object]):
-    """Bottom-up fold: ``visit(position, node, child_values)`` runs for each
-    node in post-order and its return value is the node's value; returns the
-    root's.  Only values whose parent has not been visited yet are held."""
+def fold_qexpr(
+    nodes: List[QExpression], visit: Callable[[int, QExpression, list], object]
+):
+    """Bottom-up fold over ``nodes``, an expression's ``postorder`` list:
+    ``visit(position, node, child_values)`` runs for each node in turn and
+    its return value is the node's value; returns the root's.  Only values
+    whose parent has not been visited yet are held.  A caller that folds
+    one expression many times computes the list once."""
     values: list = []
-    for pos, node in enumerate(postorder(expr)):
+    for pos, node in enumerate(nodes):
         k = len(values) - len(node.children())
         kids = values[k:]
         del values[k:]
@@ -158,7 +162,7 @@ def _text(expr: QExpression) -> str:
         return (op.format(node.i, node.j), kids[0], ")")
 
     out: List[str] = []
-    stack = [fold_qexpr(expr, visit)]
+    stack = [fold_qexpr(postorder(expr), visit)]
     while stack:
         piece = stack.pop()
         if isinstance(piece, str):
@@ -201,8 +205,9 @@ def _merge(classes: Dict[int, List[int]], label: int, verts: List[int]) -> None:
         classes[label] = verts
 
 
-def _replay(expr: QExpression) -> _Replay:
-    """Evaluate bottom-up, holding each live subexpression's label classes.
+def _replay(nodes: List[QExpression]) -> _Replay:
+    """Evaluate an expression, given as its post-order list, bottom-up,
+    holding each live subexpression's label classes.
 
     Label classes only coarsen, so two Join pair sets that meet are nested,
     the later one containing the earlier.  A Join is therefore redundant
@@ -245,7 +250,7 @@ def _replay(expr: QExpression) -> _Replay:
                 _merge(classes, node.j, src)
         return classes
 
-    classes = fold_qexpr(expr, visit)
+    classes = fold_qexpr(nodes, visit)
     return _Replay(classes, names, edges, dropped, full)
 
 
@@ -253,7 +258,7 @@ def eval_qexpr(expr: QExpression, q: Optional[int] = None) -> LabeledGraph:
     """Evaluate to the labeled graph; with q given, reject labels above q."""
     if q is not None and expr.q > q:
         raise ValueError(f"expression uses label {expr.q} but q={q}")
-    r = _replay(expr)
+    r = _replay(postorder(expr))
     label_of = {v: label for label, verts in r.classes.items() for v in verts}
     n = len(r.names)
     g = Graph(n, sorted(r.edges))
@@ -272,7 +277,8 @@ def normalize_qexpr(expr: QExpression) -> QExpression:
     pair sets, so each is full when applied.  When nothing is marked, the
     input itself is returned.
     """
-    dropped = _replay(expr).dropped
+    nodes = postorder(expr)
+    dropped = _replay(nodes).dropped
     if not dropped:
         return expr
 
@@ -285,13 +291,13 @@ def normalize_qexpr(expr: QExpression) -> QExpression:
             return Union(kids[0], kids[1])
         return type(node)(node.i, node.j, kids[0])
 
-    return fold_qexpr(expr, rebuild)
+    return fold_qexpr(nodes, rebuild)
 
 
 def joins_are_full(expr: QExpression) -> bool:
     """Replay check: does every Join apply to classes with no edge between
     them yet?  Used by tests and the bisection DP precondition."""
-    return _replay(expr).full
+    return _replay(postorder(expr)).full
 
 
 # -- forests: expressions and deletion sets --------------------------------------

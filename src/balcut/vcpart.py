@@ -3,17 +3,20 @@
 Every edge touches the cover, so fixing how the cover is split across the d
 parts decides almost everything: the leftover vertices form an independent
 set whose members can be placed one by one, each caring only about the
-weight of its edges to neighbours outside its part.  The solver enumerates
-the set partitions of the cover into at most d groups (dropping any that
-overfill a part) and skips every split whose cover cut, or cover cut plus
-a placement floor, already reaches the best total: first the
-capacity-free floor, then one that respects each part's room.  The rest
-get their independent vertices assigned at minimum cost under the
-remaining capacities, greedily while that provably matches shortest paths
-over the d parts alone and by those shortest paths after; the cheapest
-combination is kept, first enumerated winning ties.  The cover itself
-comes from a branching search pruned by a greedy-matching lower bound,
-with its budget starting at the size of a greedy cover.
+weight of its edges to neighbours outside its part.  The solver walks the
+set partitions of the cover into at most d groups (none overfilling a
+part) in one depth-first pass over the cover vertices, keeping every
+independent vertex's cost row, the sum of the row minima and the cover cut
+up to date as each cover vertex is placed and undoing them on backtrack.
+At each complete split it skips the split when the cover cut, or cover cut
+plus a placement floor, already reaches the best total: first the sum of
+row minima, then a floor that respects each part's room.  The rest get
+their independent vertices assigned at minimum cost under the remaining
+capacities, greedily while that provably matches shortest paths over the
+d parts alone and by those shortest paths after; the cheapest combination
+is kept, first enumerated winning ties.  The cover itself comes from a
+branching search pruned by a greedy-matching lower bound, with its budget
+starting at the size of a greedy cover.
 """
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -90,7 +93,8 @@ def enumerate_cover_partitions(
     at most ceil(n/d), one per relabeling class, in restricted-growth order.
 
     Each is the tuple of its nonempty groups ordered by smallest member; the
-    parts beyond them are empty.
+    parts beyond them are empty.  solve_balanced_partition_vc walks the same
+    splits in the same order without building them.
     """
     if d < 1:
         raise ValueError("need at least one part")
@@ -215,17 +219,23 @@ def capacity_floor(costs: Sequence[Sequence[int]], capacities: Sequence[int]) ->
 def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     """Minimum-cut partition of G into d parts of size at most ceil(n/d).
 
-    Enumerates cover splits, pads each to d groups and assigns the
-    independent vertices under the leftover capacities (ceil(n/d) minus the
-    group size); the reported cut is the assignment cost plus the weight of
-    the edges running between different cover groups.  Each item's cost
-    row is its weighted degree minus its weight into each group, from
-    (cover neighbour, weight) lists built once.  A split is skipped, before
-    any assignment, when its cover cut, its cover cut plus the sum of row
-    minima, or its cover cut plus capacity_floor already reaches the best
-    total: each is at most the split's total and only a strictly cheaper
-    split replaces the best, so the winner stays the first cheapest one
-    enumerated.
+    One depth-first pass over the sorted cover vertices puts each into a
+    group in restricted-growth order (groups 0 .. min(used + 1, k) - 1,
+    skipping a group already holding ceil(n/d)), so its leaves are the
+    splits of enumerate_cover_partitions, in its order.  Along the path it
+    keeps each independent vertex's cost row (weighted degree minus its
+    weight into each group), the row minima and their sum, the cover cut
+    (edges to earlier cover vertices in other groups) and the room left in
+    each group: assigning a cover vertex touches only the rows of its
+    independent neighbours, and backtracking undoes exactly that.
+
+    At a leaf the split is skipped when its cover cut, its cover cut plus
+    the sum of row minima, or its cover cut plus capacity_floor already
+    reaches the best total: each is at most the split's total and only a
+    strictly cheaper split replaces the best, so the winner stays the first
+    cheapest one enumerated.  Otherwise min_cost_assignment places the
+    independent vertices under the leftover capacities, and the reported
+    cut is its cost plus the cover cut.
 
     Past d = n every part holds at most one vertex, so at most n are used:
     the search runs with max(1, min(d, n)) groups, padded to d empty parts.
@@ -233,43 +243,84 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     if d < 1:
         raise ValueError("need at least one part")
     k = max(1, min(d, g.n))  # ceil(n/k) == ceil(n/d) in every case
-    cover = min_vertex_cover(g, g.n)
-    items = tuple(sorted(frozenset(g.vertices) - cover))
-    links = [[(u, g.edge_weight(v, u)) for u in g.neighbors(v)] for v in items]
-    degrees = [sum(w for _, w in nbrs) for nbrs in links]
-    cover_edges = [(u, v, g.edge_weight(u, v)) for u, v in g.edges() if u in cover and v in cover]
     cap = -(-g.n // d)
-    group_of = [0] * (g.n + 1)  # read for cover vertices only, all rewritten per split
-    best: Optional[Tuple[int, DPartition]] = None
-    for groups in enumerate_cover_partitions(cover, k, g.n):
-        for j, grp in enumerate(groups):
-            for v in grp:
-                group_of[v] = j
-        cover_cut = sum(w for u, v, w in cover_edges if group_of[u] != group_of[v])
-        if best is not None and cover_cut >= best[0]:
+    cover = sorted(min_vertex_cover(g, g.n))
+    at = {u: i for i, u in enumerate(cover)}
+    items = tuple(sorted(frozenset(g.vertices) - frozenset(cover)))
+    rows = []  # rows[t][j]: weight of item t's edges leaving group j
+    touches: List[List[Tuple[int, int]]] = [[] for _ in cover]  # (item, weight) per cover vertex
+    for t, v in enumerate(items):
+        deg = 0
+        for u in g.neighbors(v):
+            w = g.edge_weight(v, u)
+            touches[at[u]].append((t, w))
+            deg += w
+        rows.append([deg] * k)
+    back: List[List[Tuple[int, int]]] = [[] for _ in cover]  # (earlier cover index, weight)
+    for u, v in g.edges():
+        if u in at and v in at:
+            i, h = max(at[u], at[v]), min(at[u], at[v])
+            back[i].append((h, g.edge_weight(u, v)))
+    mins = [row[0] for row in rows]
+    c = len(cover)
+    group = [-1] * c  # group of each cover vertex on the current path, -1 while untried
+    counts = [0] * k
+    used = [0] * (c + 1)  # groups opened before cover vertex i
+    cut = [0] * (c + 1)  # cover cut among cover vertices before i
+    minsum = [0] * (c + 1)  # sum of row minima before cover vertex i
+    minsum[0] = sum(mins)
+    saved: List[List[Tuple[int, int]]] = [[] for _ in cover]  # (item, its minimum) lowered by i
+    best: Optional[Tuple[int, List[int], List[int]]] = None
+    i = 0  # the cover vertex to place next; i == c is a complete split
+    while i >= 0:
+        if i == c:
+            total = cut[c]
+            if best is None or (total < best[0] and total + minsum[c] < best[0]):
+                room = [cap - m for m in counts]
+                if best is None or total + capacity_floor(rows, room) < best[0]:
+                    placed, cost = min_cost_assignment(rows, room)
+                    if best is None or total + cost < best[0]:  # first enumerated wins ties
+                        best = (total + cost, list(group), placed)
+            i -= 1
             continue
-        rows = []
-        floor = cover_cut
-        for nbrs, deg in zip(links, degrees):
-            row = [deg] * k
-            for u, w in nbrs:
-                row[group_of[u]] -= w
-            rows.append(row)
-            floor += min(row)
-        if best is not None and floor >= best[0]:
+        j = group[i]
+        if j >= 0:  # undo the last choice for cover vertex i
+            counts[j] -= 1
+            for t, w in touches[i]:
+                rows[t][j] += w
+            for t, m in saved[i]:
+                mins[t] = m
+            saved[i].clear()
+        top = min(used[i] + 1, k)
+        j += 1
+        while j < top and counts[j] == cap:
+            j += 1
+        if j == top:
+            group[i] = -1
+            i -= 1
             continue
-        groups += (frozenset(),) * (k - len(groups))
-        room = [cap - len(grp) for grp in groups]
-        if best is not None and cover_cut + capacity_floor(rows, room) >= best[0]:
-            continue
-        placed, cost = min_cost_assignment(rows, room)
-        total = cover_cut + cost
-        if best is None or total < best[0]:  # first enumerated wins ties
-            parts = [set(grp) for grp in groups] + [set() for _ in range(d - k)]
-            for v, j in zip(items, placed):
-                parts[j].add(v)
-            best = (total, DPartition(parts))
-    total, dp = best[0], best[1]
+        group[i] = j
+        counts[j] += 1
+        cut[i + 1] = cut[i] + sum(w for h, w in back[i] if group[h] != j)
+        low = minsum[i]
+        lowered = saved[i]
+        for t, w in touches[i]:
+            row = rows[t]
+            row[j] -= w
+            if row[j] < mins[t]:
+                lowered.append((t, mins[t]))
+                low -= mins[t] - row[j]
+                mins[t] = row[j]
+        minsum[i + 1] = low
+        used[i + 1] = max(used[i], j + 1)
+        i += 1
+    total, cover_group, placed = best
+    parts = [set() for _ in range(d)]
+    for u, j in zip(cover, cover_group):
+        parts[j].add(u)
+    for v, j in zip(items, placed):
+        parts[j].add(v)
+    dp = DPartition(parts)
     if not dp.is_valid(g) or cut_size(g, dp) != total:
         raise RuntimeError("internal error: partition failed validation")
     return dp, total

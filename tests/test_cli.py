@@ -540,6 +540,16 @@ def test_oracle_vbisect_infeasible_on_k4(tmp_path, capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("c", ["-3", "0", "1"])
+def test_oracle_vbisect_rejects_c_below_two_like_vbisect(tmp_path, capsys, c):
+    g = tmp_path / "c6.gr"
+    g.write_text(C6)
+    for cmd in (["vbisect"], ["oracle", "vbisect"]):
+        code, out, err = run_cli(capsys, *cmd, "--graph", str(g), "--k", "2", "--c", c)
+        assert (code, out) == (2, ""), cmd
+        assert "--c must be at least 2" in err, cmd
+
+
 def test_oracle_size_guard_maps_to_input_error(capsys, tmp_path):
     g = tmp_path / "big.gr"
     g.write_text("p tw 30 0\n")

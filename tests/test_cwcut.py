@@ -201,7 +201,7 @@ def test_bounded_table_is_the_unbounded_one_restricted():
         value_max = rng.choice([None, rng.randint(0, g.m)])
         bound = g.m if value_max is None else value_max
         corr = _match_expression(g, d, eval_qexpr(phi))
-        got_counts, got = _fill(g, a0, d - a0, phi, phi.q, corr, lo, hi, value_max)
+        got_counts, got = _fill(g, a0, d - a0, postorder(phi), phi.q, corr, lo, hi, value_max)
         assert (got_counts, {
             a: (value, frozenset(corr[v] for v in mask_members(mask)))
             for a, (value, mask) in got.items()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balcut import vcpart
 from balcut.graph import (
     Graph,
     complete_graph,
@@ -531,3 +532,112 @@ def test_solver_matches_the_parent_split_loop():
             want_cut, want_parts = _parent_split_loop(g, d)
             assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
 
+
+
+def _graph_with_full_groups(rng, d):
+    """A random graph whose edges all touch a hub larger than ceil(n/d), so
+    the cover usually outgrows a part and groups fill up mid-split; half of
+    them carry edge weights."""
+    n = rng.randint(d + 2, 12)
+    cap = -(-n // d)
+    hub = set(rng.sample(range(1, n + 1), rng.randint(cap + 1, min(n - 1, 8))))
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u in hub or v in hub) and rng.random() < 0.6
+    ]
+    weights = {e: rng.randint(1, 5) for e in edges} if rng.random() < 0.5 else None
+    return Graph(n, edges, edge_weights=weights)
+
+
+def test_solver_matches_the_parent_split_loop_when_groups_fill_up():
+    rng = random.Random(1818)
+    full = 0
+    for _ in range(150):
+        d = rng.randint(3, 5)
+        g = _graph_with_full_groups(rng, d)
+        full += len(min_vertex_cover(g, g.n)) > -(-g.n // d)
+        dp, cut = solve_balanced_partition_vc(g, d)
+        want_cut, want_parts = _parent_split_loop(g, d)
+        assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
+    assert full >= 75  # most cases really fill a group before the cover is split
+
+
+def test_solver_matches_the_parent_split_loop_on_weighted_graphs():
+    rng = random.Random(1819)
+    for _ in range(100):
+        base = _graph_with_small_cover(rng)
+        g = Graph(base.n, base.edges(), edge_weights={e: rng.randint(1, 20) for e in base.edges()})
+        for d in (2, 3, 4):
+            dp, cut = solve_balanced_partition_vc(g, d)
+            want_cut, want_parts = _parent_split_loop(g, d)
+            assert (dp.parts, cut) == (want_parts, want_cut), (sorted(g.edges()), d)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_solver_matches_the_parent_split_loop_without_edges(n):
+    for d in range(1, n + 3):
+        dp, cut = solve_balanced_partition_vc(Graph(n), d)
+        want_cut, want_parts = _parent_split_loop(Graph(n), d)
+        assert (dp.parts, cut) == (want_parts, want_cut) == (want_parts, 0), d
+
+
+def _split_loop_calls(g, d):
+    """Every capacity_floor and min_cost_assignment call of the split loop
+    that rebuilds its rows per split, with today's three skips, in order."""
+    k = max(1, min(d, g.n))
+    cover = min_vertex_cover(g, g.n)
+    items = sorted(frozenset(g.vertices) - cover)
+    cap = -(-g.n // d)
+    calls = []
+    best = None
+    for groups in enumerate_cover_partitions(cover, k, g.n):
+        group_of = {v: j for j, grp in enumerate(groups) for v in grp}
+        cover_cut = sum(
+            g.edge_weight(u, v)
+            for u, v in g.edges()
+            if u in group_of and v in group_of and group_of[u] != group_of[v]
+        )
+        if best is not None and cover_cut >= best:
+            continue
+        rows = [[sum(g.edge_weight(v, u) for u in g.neighbors(v))] * k for v in items]
+        for row, v in zip(rows, items):
+            for u in g.neighbors(v):
+                row[group_of[u]] -= g.edge_weight(v, u)
+        if best is not None and cover_cut + sum(map(min, rows)) >= best:
+            continue
+        room = [cap - len(grp) for grp in groups] + [cap] * (k - len(groups))
+        if best is not None:
+            calls.append(("floor", rows, room))
+            if cover_cut + capacity_floor(rows, room) >= best:
+                continue
+        calls.append(("assign", rows, room))
+        total = cover_cut + min_cost_assignment(rows, room)[1]
+        if best is None or total < best:
+            best = total
+    return calls
+
+
+def test_solver_bounds_see_the_rows_of_a_rebuild(monkeypatch):
+    """The incrementally kept rows, minima sums and cover cuts reach the
+    floor and the assignment exactly as a per-split rebuild would: the same
+    splits, rows and rooms in the same order, so no skip is lost or added."""
+    seen = []
+
+    def recording(kind, fn):
+        def wrapper(rows, room):
+            seen.append((kind, [list(row) for row in rows], list(room)))
+            return fn(rows, room)
+
+        return wrapper
+
+    monkeypatch.setattr(vcpart, "capacity_floor", recording("floor", capacity_floor))
+    monkeypatch.setattr(vcpart, "min_cost_assignment", recording("assign", min_cost_assignment))
+    rng = random.Random(1820)
+    for _ in range(80):
+        d = rng.randint(2, 5)
+        g = _graph_with_full_groups(rng, d) if rng.random() < 0.5 else _graph_with_small_cover(rng)
+        seen.clear()
+        solve_balanced_partition_vc(g, d)
+        assert seen == _split_loop_calls(g, d), (sorted(g.edges()), d)
