@@ -8,7 +8,7 @@ child tables.  Deleted vertices are handled outside the expression: the
 driver fixes a split (A0, B0) of the deletion set, charges edges inside the
 deletion set once up front, and the leaf case charges each expression vertex
 for its edges into the opposite deleted side.  Every entry carries the
-realized A side as a bitmask over expression vertices, so retracing a
+realized A side as a bitmask over the vertex ids of G, so retracing a
 witness is a lookup and ties break to the lexicographically smallest side.
 Tables are filled in one post-order walk that holds only the tables of
 subexpressions whose parent is still to come, and only the root's is kept.
@@ -166,8 +166,7 @@ def cut_dp(
     corr = _match_expression(g, d_set, eval_qexpr(phi))
     counts, root = _fill(g, a0, b0, postorder(phi), phi.q, corr)
     return counts, {
-        a: (value, frozenset(corr[v] for v in mask_members(mask)))
-        for a, (value, mask) in root.items()
+        a: (value, frozenset(mask_members(mask))) for a, (value, mask) in root.items()
     }
 
 
@@ -183,10 +182,10 @@ def _fill(
     value_max: Optional[int] = None,
 ) -> Tuple[Vector, Dict[Vector, Tuple[int, int]]]:
     """The root's label counts and its map from A-side count vectors to
-    (cut, A-side bitmask), for the split (a0, b0) of the deletion set and a
-    ``q``-label expression, given as its ``postorder`` list, whose joins are
-    all full and whose vertices ``corr`` maps onto G minus the deletion set;
-    the callers check both.
+    (cut, A-side bitmask over G's vertex ids), for the split (a0, b0) of
+    the deletion set and a ``q``-label expression, given as its
+    ``postorder`` list, whose joins are all full and whose vertices
+    ``corr`` maps onto G minus the deletion set; the callers check both.
 
     Only root entries with between ``lo`` and ``hi`` A-side vertices and a
     value of at most ``value_max`` are kept, and no entry that cannot lead
@@ -220,7 +219,7 @@ def _fill(
             into_a = len(g.neighbors(gv) & b0)
             into_b = len(g.neighbors(gv) & a0)
             if lo <= total and hi >= 1 and into_a <= value_max:
-                table[one] = (into_a, 1 << vid)
+                table[one] = (into_a, 1 << gv)
             if lo <= total - 1 and hi >= 0 and into_b <= value_max:
                 table[0] = (into_b, 0)
             return one, 1, table
@@ -310,7 +309,7 @@ def solve_bisection_cwd(
         _, root = _fill(g, a0, d_set - a0, nodes, q, corr, lo, hi, value_max)
         for value, mask in root.values():
             cut = internal + value
-            a = a0 | frozenset(corr[v] for v in mask_members(mask))
+            a = a0 | frozenset(mask_members(mask))
             rank = (cut, tuple(sorted(a)))
             if best is None or rank < best[0]:
                 best = (rank, Bipartition(a, frozenset(g.vertices) - a), cut)

@@ -14,11 +14,14 @@ row minima, then a floor that respects each part's room.  The rest get
 their independent vertices assigned at minimum cost under the remaining
 capacities, greedily while that provably matches shortest paths over the
 d parts alone and by those shortest paths after; the cheapest combination
-is kept, first enumerated winning ties.  The cover itself comes from a
-branching search pruned by a greedy-matching lower bound, with its budget
-starting at the size of a greedy cover.
+is kept, first enumerated winning ties.  With at most two groups the
+room-respecting floor is that minimum cost, so splits are priced by it and
+only the winner is assigned.  The cover itself comes from a branching
+search pruned by a greedy-matching lower bound, with its budget starting
+at the size of a greedy cover.
 """
 
+from math import inf
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DPartition, Graph, cut_size
@@ -142,6 +145,12 @@ def min_cost_assignment(
     (group per row, total cost); raises when the capacities cannot hold
     every row.
 
+    A round skips an item's arc back to its own group (it costs 0) and an
+    item whose group's distance has not dropped since the item was last
+    relaxed (its arcs offer nothing new), and the rounds stop after one
+    that updates nothing.  None of these skips a strict improvement, so the
+    distances, paths and placements are those of the plain k - 1 rounds.
+
     Leading rows whose lowest-index minimum has room go straight there:
     while every placed item sits in its own lowest-index minimum, no arc is
     negative and a zero-cost arc only leads to a higher index, so the
@@ -160,16 +169,26 @@ def min_cost_assignment(
         total += row[b]
         room[b] -= 1
         group.append(b)
+    others = [[b for b in range(k) if b != a] for a in range(k)]
     for row in costs[len(group):]:
         dist = list(row)
         via = [-1] * k  # the placed item whose move reached each group
+        seen = [inf] * len(group)  # dist of item t's group when t was last relaxed
         for _ in range(k - 1):
+            moved = False
             for t, a in enumerate(group):
-                base = dist[a] - costs[t][a]
-                for b, c in enumerate(costs[t]):
-                    if base + c < dist[b]:
-                        dist[b] = base + c
+                if dist[a] >= seen[t]:
+                    continue  # nothing cheaper reaches t's group since then
+                seen[t] = dist[a]
+                item = costs[t]
+                base = dist[a] - item[a]
+                for b in others[a]:
+                    if base + item[b] < dist[b]:
+                        dist[b] = base + item[b]
                         via[b] = t
+                        moved = True
+            if not moved:
+                break
         b = min((j for j in range(k) if room[j]), key=lambda j: (dist[j], j))
         total += dist[b]
         room[b] -= 1
@@ -199,11 +218,21 @@ def capacity_floor(costs: Sequence[Sequence[int]], capacities: Sequence[int]) ->
     spare = sum(capacities) - len(costs)
     mins = []
     gaps: List[List[int]] = [[] for _ in range(k)]  # per group, for rows cheapest only there
-    for row in costs:
-        m1, m2 = sorted(row)[:2]
-        mins.append(m1)
-        if m1 < m2:
-            gaps[row.index(m1)].append(m2 - m1)
+    if k == 2:
+        for c0, c1 in costs:
+            if c0 < c1:
+                mins.append(c0)
+                gaps[0].append(c1 - c0)
+            else:
+                mins.append(c1)
+                if c1 < c0:
+                    gaps[1].append(c0 - c1)
+    else:
+        for row in costs:
+            m1, m2 = sorted(row)[:2]
+            mins.append(m1)
+            if m1 < m2:
+                gaps[row.index(m1)].append(m2 - m1)
     extra = 0
     for j, room in enumerate(capacities):
         out = len(gaps[j]) - room  # rows cheapest only in j that j cannot hold
@@ -229,13 +258,18 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     each group: assigning a cover vertex touches only the rows of its
     independent neighbours, and backtracking undoes exactly that.
 
-    At a leaf the split is skipped when its cover cut, its cover cut plus
-    the sum of row minima, or its cover cut plus capacity_floor already
-    reaches the best total: each is at most the split's total and only a
-    strictly cheaper split replaces the best, so the winner stays the first
-    cheapest one enumerated.  Otherwise min_cost_assignment places the
-    independent vertices under the leftover capacities, and the reported
-    cut is its cost plus the cover cut.
+    At a leaf the split is skipped when its cover cut, or its cover cut
+    plus the sum of row minima, already reaches the best total: each is at
+    most the split's total and only a strictly cheaper split replaces the
+    best, so the winner stays the first cheapest one enumerated.  With at
+    most two groups capacity_floor is the exact placement cost, so the
+    split's total is priced as cover cut plus floor, a strictly cheaper
+    price copies the split's rows and room, and min_cost_assignment runs
+    once, on the winner's.  With more groups the split is also skipped when
+    cover cut plus capacity_floor reaches the best total, and otherwise
+    min_cost_assignment places the independent vertices under the leftover
+    capacities at that leaf.  The reported cut is the cover cut plus the
+    placement cost.
 
     Past d = n every part holds at most one vertex, so at most n are used:
     the search runs with max(1, min(d, n)) groups, padded to d empty parts.
@@ -270,17 +304,23 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
     minsum = [0] * (c + 1)  # sum of row minima before cover vertex i
     minsum[0] = sum(mins)
     saved: List[List[Tuple[int, int]]] = [[] for _ in cover]  # (item, its minimum) lowered by i
-    best: Optional[Tuple[int, List[int], List[int]]] = None
+    # (total, cover groups, placement), the placement None for k <= 2 until
+    # the search ends, and the rows and room it is made from
+    best: Optional[tuple] = None
     i = 0  # the cover vertex to place next; i == c is a complete split
     while i >= 0:
         if i == c:
             total = cut[c]
             if best is None or (total < best[0] and total + minsum[c] < best[0]):
                 room = [cap - m for m in counts]
-                if best is None or total + capacity_floor(rows, room) < best[0]:
+                if k <= 2:  # the floor is the placement cost; first enumerated wins ties
+                    price = total + capacity_floor(rows, room)
+                    if best is None or price < best[0]:
+                        best = (price, list(group), None, ([list(row) for row in rows], room))
+                elif best is None or total + capacity_floor(rows, room) < best[0]:
                     placed, cost = min_cost_assignment(rows, room)
-                    if best is None or total + cost < best[0]:  # first enumerated wins ties
-                        best = (total + cost, list(group), placed)
+                    if best is None or total + cost < best[0]:
+                        best = (total + cost, list(group), placed, None)
             i -= 1
             continue
         j = group[i]
@@ -314,7 +354,9 @@ def solve_balanced_partition_vc(g: Graph, d: int) -> Tuple[DPartition, int]:
         minsum[i + 1] = low
         used[i + 1] = max(used[i], j + 1)
         i += 1
-    total, cover_group, placed = best
+    total, cover_group, placed, winner = best
+    if placed is None:
+        placed = min_cost_assignment(*winner)[0]
     parts = [set() for _ in range(d)]
     for u, j in zip(cover, cover_group):
         parts[j].add(u)

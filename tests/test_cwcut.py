@@ -1,11 +1,13 @@
 """Expression-DP bisection: root tables, deletion splits, driver vs oracle."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balcut import cli
 from balcut.cwcut import _fill, _match_expression, cut_dp, solve_bisection_cwd
 from balcut.graph import (
     Bipartition,
@@ -16,6 +18,7 @@ from balcut.graph import (
     mask_members,
     path_graph,
 )
+from balcut.formats import emit_graph
 from balcut.oracle import brute_bisection
 from balcut.qexpr import (
     Create,
@@ -203,8 +206,7 @@ def test_bounded_table_is_the_unbounded_one_restricted():
         corr = _match_expression(g, d, eval_qexpr(phi))
         got_counts, got = _fill(g, a0, d - a0, postorder(phi), phi.q, corr, lo, hi, value_max)
         assert (got_counts, {
-            a: (value, frozenset(corr[v] for v in mask_members(mask)))
-            for a, (value, mask) in got.items()
+            a: (value, frozenset(mask_members(mask))) for a, (value, mask) in got.items()
         }) == (
             counts,
             {a: e for a, e in entries.items() if lo <= sum(a) <= hi and e[0] <= bound},
@@ -346,3 +348,58 @@ def test_driver_matches_every_split_reference():
     assert solve_bisection_cwd(single, set(), Create(1, name=1)) == reference_bisection(
         single, frozenset(), Create(1, name=1)
     )
+
+
+def brute_least_bisection(g):
+    """The least (cut, sorted A) over every A of n // 2 or (n + 1) // 2
+    vertices, by exhaustive search over adjacency bitmasks."""
+    adj = {v: sum(1 << u for u in g.neighbors(v)) for v in g.vertices}
+    best = None
+    for size in {g.n // 2, (g.n + 1) // 2}:
+        for a in itertools.combinations(sorted(g.vertices), size):
+            mask = sum(1 << v for v in a)
+            rank = (sum((adj[v] & ~mask).bit_count() for v in a), a)
+            best = rank if best is None else min(best, rank)
+    return best
+
+
+def test_star_ties_break_to_the_least_a():
+    # the leaves 1, 2 on side A cut two edges, like the side {1, 3}
+    g = Graph(4, [(1, 3), (2, 3), (3, 4)])
+    d = greedy_deletion_set(g)
+    bip, cut = solve_bisection_cwd(g, d, forest_qexpr(g, d))
+    assert (cut, bip.a) == (2, frozenset({1, 2}))
+
+
+def test_driver_answers_the_least_cut_and_sorted_a():
+    """Ties between witnesses of one table key break by G's vertex ids, so
+    the answer is the least (cut, sorted A) over every bisection, whatever
+    the expression's leaf order; greedy and explicit deletion sets."""
+    rng = random.Random(20)
+    for i in range(300):
+        n = rng.randint(1, 13)
+        if i % 3:
+            g = forest_plus_edges(rng, n, rng.randint(0, 4))
+        else:
+            g = random_graph(n, rng.choice((0.2, 0.35)), seed=rng.randrange(10**6))
+        d = forest_deletion_set(rng, g, explicit=i % 2 == 1)
+        bip, cut = solve_bisection_cwd(g, d, forest_qexpr(g, d))
+        assert (cut, tuple(sorted(bip.a))) == brute_least_bisection(g), (
+            sorted(g.edges()), g.n, sorted(d),
+        )
+
+
+def test_bisect_bytes_do_not_depend_on_the_deletion_set(tmp_path, capsys):
+    """`balcut bisect` prints the same file for the greedy deletion set and
+    for that set plus further vertices."""
+    rng = random.Random(21)
+    path = tmp_path / "g.gr"
+    for _ in range(60):
+        g = forest_plus_edges(rng, rng.randint(2, 13), rng.randint(0, 4))
+        path.write_text(emit_graph(g))
+        assert cli.main(["bisect", "--graph", str(path)]) == 0
+        want = capsys.readouterr().out
+        d = forest_deletion_set(rng, g, explicit=True)
+        argv = ["bisect", "--graph", str(path), "--deletion", ",".join(map(str, sorted(d)))]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want, (sorted(g.edges()), sorted(d))

@@ -81,6 +81,14 @@ def test_graph_parse_errors(text, complaint):
         parse_graph(text)
 
 
+def test_graph_parse_padded_and_oversized_ids():
+    # ids longer than the vertex count's digits take the tokenizer's path
+    g = parse_graph("p tw 12 3\n 012\t3\n1 12\n0005 11\n")
+    assert sorted(g.edges()) == [(1, 12), (3, 12), (5, 11)]
+    with pytest.raises(ParseError, match="line 2, column 3"):
+        parse_graph("p tw 3 1\n1 " + "0" * 5000 + "2\n")
+
+
 def test_graph_errors_carry_positions():
     with pytest.raises(ParseError) as info:
         parse_graph("p tw 2 1\n1 3\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balcut import vcpart
+from balcut.cwcut import solve_bisection_cwd
 from balcut.graph import (
     Graph,
     complete_graph,
@@ -17,6 +18,7 @@ from balcut.graph import (
     star_graph,
 )
 from balcut.oracle import brute_balanced_partition
+from balcut.qexpr import forest_qexpr, greedy_deletion_set
 from balcut.vcpart import (
     capacity_floor,
     enumerate_cover_partitions,
@@ -585,13 +587,16 @@ def test_solver_matches_the_parent_split_loop_without_edges(n):
 
 def _split_loop_calls(g, d):
     """Every capacity_floor and min_cost_assignment call of the split loop
-    that rebuilds its rows per split, with today's three skips, in order."""
+    that rebuilds its rows per split, in order.  With at most two groups
+    the floor prices every split that passes the two cheap skips, and one
+    assignment places the first cheapest; with more, a split passing all
+    three skips is assigned at once."""
     k = max(1, min(d, g.n))
     cover = min_vertex_cover(g, g.n)
     items = sorted(frozenset(g.vertices) - cover)
     cap = -(-g.n // d)
     calls = []
-    best = None
+    best = winner = None
     for groups in enumerate_cover_partitions(cover, k, g.n):
         group_of = {v: j for j, grp in enumerate(groups) for v in grp}
         cover_cut = sum(
@@ -608,6 +613,12 @@ def _split_loop_calls(g, d):
         if best is not None and cover_cut + sum(map(min, rows)) >= best:
             continue
         room = [cap - len(grp) for grp in groups] + [cap] * (k - len(groups))
+        if k <= 2:
+            calls.append(("floor", rows, room))
+            price = cover_cut + capacity_floor(rows, room)
+            if best is None or price < best:
+                best, winner = price, ("assign", rows, room)
+            continue
         if best is not None:
             calls.append(("floor", rows, room))
             if cover_cut + capacity_floor(rows, room) >= best:
@@ -616,7 +627,7 @@ def _split_loop_calls(g, d):
         total = cover_cut + min_cost_assignment(rows, room)[1]
         if best is None or total < best:
             best = total
-    return calls
+    return calls + ([winner] if winner else [])
 
 
 def test_solver_bounds_see_the_rows_of_a_rebuild(monkeypatch):
@@ -641,3 +652,82 @@ def test_solver_bounds_see_the_rows_of_a_rebuild(monkeypatch):
         seen.clear()
         solve_balanced_partition_vc(g, d)
         assert seen == _split_loop_calls(g, d), (sorted(g.edges()), d)
+
+
+def _late_bellman_ford_updates(costs, capacities):
+    """How many distance updates min_cost_assignment's rows past its greedy
+    prefix get in a second or later Bellman-Ford round, counted on plain
+    rounds with every item relaxed in each."""
+    k = len(capacities)
+    room = list(capacities)
+    group = []
+    for row in costs:
+        b = row.index(min(row))
+        if not room[b]:
+            break
+        room[b] -= 1
+        group.append(b)
+    late = 0
+    for row in costs[len(group):]:
+        dist = list(row)
+        via = [-1] * k
+        for rnd in range(k - 1):
+            for t, a in enumerate(group):
+                base = dist[a] - costs[t][a]
+                for b, c in enumerate(costs[t]):
+                    if base + c < dist[b]:
+                        dist[b] = base + c
+                        via[b] = t
+                        late += rnd > 0
+        b = min((j for j in range(k) if room[j]), key=lambda j: (dist[j], j))
+        room[b] -= 1
+        while via[b] >= 0:
+            t = via[b]
+            group[t], b = b, group[t]
+        group.append(b)
+    return late
+
+
+def test_assignment_matches_reference_ssp_when_later_rounds_move_items():
+    """Rows on which a second Bellman-Ford round updates a distance: the
+    skipped arcs, the skipped stale items and the early stop leave every
+    placement as the plain rounds make it."""
+    rng = random.Random(19)
+    checked = 0
+    while checked < 200:
+        k = rng.randint(3, 5)
+        m = rng.randint(2, 12)
+        costs = [[rng.randint(0, 9) for _ in range(k)] for _ in range(m)]
+        caps = [rng.randint(0, m) for _ in range(k)]
+        if sum(caps) < m or not _late_bellman_ford_updates(costs, caps):
+            continue
+        assert min_cost_assignment(costs, caps) == _reference_ssp(costs, caps), (costs, caps)
+        checked += 1
+
+
+def _cover_graph(rng):
+    """An unweighted graph on 11 to 40 vertices whose edges all touch a
+    random set of 2 to 6 vertices."""
+    n = rng.randint(11, 40)
+    hub = set(rng.sample(range(1, n + 1), rng.randint(2, 6)))
+    p = rng.choice((0.1, 0.2, 0.35))
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u in hub or v in hub) and rng.random() < p
+    ]
+    return Graph(n, edges)
+
+
+def test_two_parts_cut_as_bisection_past_the_oracles():
+    """bpart with d = 2 and bisect answer the same question on unweighted
+    graphs (both sides at most ceil(n/2)), by different exact solvers."""
+    rng = random.Random(6)
+    for _ in range(200):
+        g = _cover_graph(rng)
+        d_set = greedy_deletion_set(g)
+        _, bisect_cut = solve_bisection_cwd(g, d_set, forest_qexpr(g, d_set))
+        dp, cut = solve_balanced_partition_vc(g, 2)
+        assert cut == bisect_cut, sorted(g.edges())
+        assert dp.is_valid(g) and cut_size(g, dp) == cut
