@@ -54,9 +54,6 @@ def parse_graph(text: str) -> Graph:
     edge_line: Dict[Tuple[int, int], int] = {}
     vweights: Dict[int, int] = {}
     eweights: Dict[Tuple[int, int], int] = {}
-    # digits of the vertex count once the p-line is read: a longer id is out
-    # of range or zero-padded, so the fast path leaves it to the tokenizer
-    digits = 0
 
     def check_vertex(v: int, lineno: int, col: int) -> int:
         n = header[0]
@@ -77,16 +74,17 @@ def parse_graph(text: str) -> Graph:
         return key
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # fast path: a plain edge line that is valid and new; every other
-        # line, errors included, goes through the tokenizer below
-        pair = raw.split()
-        if len(pair) == 2 and max(map(len, pair)) <= digits and "".join(pair).isdecimal():
-            u, v = int(pair[0]), int(pair[1])
-            key = (u, v) if u < v else (v, u)
-            if 1 <= key[0] < key[1] <= header[0] and key not in edge_line:
-                edge_line[key] = lineno
-                edges.append(key)
+        words = raw.split()
+        if header is not None and len(words) == 2 and words[0].isdecimal() and words[1].isdecimal():
+            # a plain edge line needs no columns unless it is at fault; the
+            # checks raise before changing anything, so a faulty line is read
+            # again by the tokenizer below and raises there with its column
+            try:
+                u = check_vertex(int(words[0]), lineno, 0)
+                add_edge(u, check_vertex(int(words[1]), lineno, 0), lineno, 0)
                 continue
+            except ValueError:
+                pass
         toks = _tokens(raw)
         if not toks or toks[0][0] == "c":
             continue
@@ -101,7 +99,6 @@ def parse_graph(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise ParseError("counts must be non-negative", lineno, col0)
             header = (n, m)
-            digits = len(str(n))
             continue
         if header is None:
             raise ParseError("body line before the p-line", lineno, col0)

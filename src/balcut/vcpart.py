@@ -21,7 +21,6 @@ search pruned by a greedy-matching lower bound, with its budget starting
 at the size of a greedy cover.
 """
 
-from math import inf
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DPartition, Graph, cut_size
@@ -145,11 +144,10 @@ def min_cost_assignment(
     (group per row, total cost); raises when the capacities cannot hold
     every row.
 
-    A round skips an item's arc back to its own group (it costs 0) and an
-    item whose group's distance has not dropped since the item was last
-    relaxed (its arcs offer nothing new), and the rounds stop after one
-    that updates nothing.  None of these skips a strict improvement, so the
-    distances, paths and placements are those of the plain k - 1 rounds.
+    A round skips an item's arc back to its own group (it costs 0, never a
+    strict improvement), and the rounds stop after one that updates
+    nothing, since the next would repeat it; so the distances, paths and
+    placements are those of the plain k - 1 rounds.
 
     Leading rows whose lowest-index minimum has room go straight there:
     while every placed item sits in its own lowest-index minimum, no arc is
@@ -173,13 +171,9 @@ def min_cost_assignment(
     for row in costs[len(group):]:
         dist = list(row)
         via = [-1] * k  # the placed item whose move reached each group
-        seen = [inf] * len(group)  # dist of item t's group when t was last relaxed
         for _ in range(k - 1):
             moved = False
             for t, a in enumerate(group):
-                if dist[a] >= seen[t]:
-                    continue  # nothing cheaper reaches t's group since then
-                seen[t] = dist[a]
                 item = costs[t]
                 base = dist[a] - item[a]
                 for b in others[a]:
@@ -218,7 +212,7 @@ def capacity_floor(costs: Sequence[Sequence[int]], capacities: Sequence[int]) ->
     spare = sum(capacities) - len(costs)
     mins = []
     gaps: List[List[int]] = [[] for _ in range(k)]  # per group, for rows cheapest only there
-    if k == 2:
+    if k == 2:  # most calls: read the pair, which takes half the time of sorting it
         for c0, c1 in costs:
             if c0 < c1:
                 mins.append(c0)
