@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, path_graph
 
 
 class QExpression:
@@ -411,16 +411,6 @@ def _clique_expr(n: int) -> QExpression:
     return e
 
 
-def _path_expr(n: int) -> QExpression:
-    if n < 1:
-        raise ValueError("path length must be >= 1")
-    # invariant: newest endpoint carries label 2, interior vertices label 1
-    e: QExpression = Create(2, name=1)
-    for k in range(2, n + 1):
-        e = Rename(3, 2, Rename(2, 1, Join(2, 3, Union(e, Create(3, name=k)))))
-    return e
-
-
 def family_qexpr(kind: str, spec) -> QExpression:
     """Ready-made expressions: 'clique' and 'path' take n, 'tree' takes a
     tree Graph (optionally (Graph, root)).  Create leaves are named with the
@@ -428,7 +418,10 @@ def family_qexpr(kind: str, spec) -> QExpression:
     if kind == "clique":
         return _clique_expr(int(spec))
     if kind == "path":
-        return _path_expr(int(spec))
+        n = int(spec)
+        if n < 1:
+            raise ValueError("path length must be >= 1")
+        return _tree_qexpr(path_graph(n), 1, frozenset(range(1, n + 1)))
     if kind == "tree":
         tree, root = spec if isinstance(spec, tuple) else (spec, None)
         if tree.n < 1:

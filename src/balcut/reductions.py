@@ -3,11 +3,14 @@
 Each generator turns an instance of a source problem into an instance of a
 target partitioning problem, together with the derived parameters, a
 provenance string, and a role tag for every vertex of the output graph.  The
-vertex counts of all outputs obey closed-form formulas which the generators
-re-check at construction time.
+vertex counts of all outputs obey closed-form formulas.  Every generator lays
+its output through one builder (`_Builder`), which numbers vertices in
+allocation order and re-checks the count against that formula before it
+returns the instance.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
@@ -37,6 +40,157 @@ class ReductionOutput:
 def _require_unweighted(g: Graph, who: str) -> None:
     if not (g.is_unit_vertex_weighted() and g.is_unit_edge_weighted()):
         raise ValueError(f"{who} expects an unweighted graph")
+
+
+# --------------------------------------------------------------------------
+# Choice gadgets
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChoiceGadget:
+    """A path with pendant vertices that forces a one-position cut.
+
+    The spine is a path of ``t + 1`` vertices for ``t`` admissible values
+    ``0 <= a_1 < ... < a_t <= b``; pendant counts are arranged so that
+    cutting the spine between positions ``p`` and ``p + 1`` puts exactly
+    ``a_p`` non-endpoint vertices on the first side and ``b - a_p`` on the
+    other.  The whole gadget always has ``b + 2`` vertices.
+    """
+
+    a_set: Tuple[int, ...]
+    b: int
+    spine: Tuple[int, ...] = field(init=False)
+    pendants: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        a = self.a_set
+        if self.b < 1:
+            raise ValueError("budget must be positive")
+        if not a:
+            raise ValueError("need at least one admissible value")
+        if a[0] < 0 or a[-1] > self.b:
+            raise ValueError("admissible values must lie in [0, b]")
+        if any(x >= y for x, y in zip(a, a[1:])):
+            raise ValueError("admissible values must be strictly increasing")
+        gaps = (y - x - 1 for x, y in zip(a, a[1:]))
+        object.__setattr__(self, "spine", tuple(range(1, len(a) + 2)))
+        object.__setattr__(self, "pendants", (a[0], *gaps, self.b - a[-1]))
+
+    @property
+    def total_vertices(self) -> int:
+        return len(self.spine) + sum(self.pendants)
+
+    def side_sizes(self, p: int) -> Tuple[int, int]:
+        """Vertex counts on the two sides when cutting between spine
+        positions ``p`` and ``p + 1``, excluding the two spine endpoints."""
+        if not 1 <= p <= len(self.a_set):
+            raise ValueError(f"cut position must be in 1..{len(self.a_set)}")
+        left = (p - 1) + sum(self.pendants[:p])
+        right = (len(self.spine) - p - 1) + sum(self.pendants[p:])
+        return left, right
+
+
+def make_choice_gadget(a_set: Iterable[int], b: int) -> ChoiceGadget:
+    """Build the gadget for admissible values ``a_set`` and budget ``b``.
+
+    Requires ``0 <= a_1 < a_2 < ... < a_t <= b``; a set is sorted first, any
+    other sequence that is not strictly increasing is rejected.
+    """
+    if isinstance(a_set, (set, frozenset)):
+        return ChoiceGadget(tuple(sorted(a_set)), b)
+    return ChoiceGadget(tuple(a_set), b)
+
+
+# --------------------------------------------------------------------------
+# The one instance builder
+# --------------------------------------------------------------------------
+
+
+class _Builder:
+    """Vertex, edge and role accumulator behind every generator.
+
+    Vertices are numbered 1, 2, ... in allocation order.  ``edge`` refuses a
+    repeated pair, as `Graph` does; only ``chain`` merges one, counted in
+    ``merged``.  Weights of 1 are not stored.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.edges: Set[Tuple[int, int]] = set()
+        self.weights: Dict[Tuple[int, int], int] = {}
+        self.roles: Dict[int, str] = {}
+        self.merged = 0
+
+    def vertex(self, role: str) -> int:
+        self.n += 1
+        self.roles[self.n] = role
+        return self.n
+
+    def block(self, size: int, role: str) -> range:
+        """``size`` fresh vertices sharing one role."""
+        ids = range(self.n + 1, self.n + size + 1)
+        self.roles.update(dict.fromkeys(ids, role))
+        self.n += size
+        return ids
+
+    def edge(self, u: int, v: int, weight: int = 1) -> None:
+        e = (u, v) if u < v else (v, u)
+        if e in self.edges:
+            raise ValueError(f"parallel edge {e}")
+        self.edges.add(e)
+        if weight != 1:
+            self.weights[e] = weight
+
+    def clique(self, ids: Iterable[int]) -> None:
+        pairs = set(combinations(sorted(ids), 2))
+        if not pairs.isdisjoint(self.edges):
+            raise ValueError(f"parallel edge {min(pairs & self.edges)}")
+        self.edges |= pairs
+
+    def chain(self, first: int, last: int, gadget: ChoiceGadget, tag: str) -> None:
+        """Lay a choice gadget between two existing vertices.
+
+        ``first`` and ``last`` take the place of the spine endpoints; the
+        inner spine and all pendant vertices are freshly allocated.  A
+        gadget with a single admissible value and no inner spine vertex
+        degenerates to a direct edge between its endpoints; when two such
+        gadgets sit between the same pair of anchors (possible only on
+        degenerate inputs far below the size threshold) they share that
+        edge, which is counted in ``merged``.
+        """
+        spine = [first]
+        for pos in range(2, len(gadget.spine)):
+            spine.append(self.vertex(f"{tag}:spine{pos}"))
+        spine.append(last)
+        for x, y in zip(spine, spine[1:]):
+            e = (x, y) if x < y else (y, x)
+            if e in self.edges:
+                self.merged += 1
+            else:
+                self.edges.add(e)
+        for pos, count in enumerate(gadget.pendants, start=1):
+            for _ in range(count):
+                self.edge(spine[pos - 1], self.vertex(f"{tag}:pendant{pos}"))
+
+    def output(
+        self, params: Dict[str, object], provenance: str, expect: int
+    ) -> ReductionOutput:
+        """The built instance, once its vertex count matches ``expect``."""
+        if self.n != expect:
+            raise RuntimeError(f"vertex count {self.n} != formula value {expect}")
+        graph = Graph(self.n, sorted(self.edges), edge_weights=self.weights or None)
+        return ReductionOutput(graph, params, provenance, self.roles)
+
+
+def _trivial(params: Dict[str, object], provenance: str) -> ReductionOutput:
+    """A fixed two-vertex instance with budget 0, joined when
+    ``params["trivial"]`` is "no"."""
+    gb = _Builder()
+    gb.block(2, "trivial")
+    if params["trivial"] == "no":
+        gb.edge(1, 2)
+    return gb.output(params, provenance, 2)
 
 
 # --------------------------------------------------------------------------
@@ -86,43 +240,21 @@ def clique_to_vbisect(g: Graph, k: int) -> ReductionOutput:
             f"{filler} vertices"
         )
 
-    edges: List[Tuple[int, int]] = []
-    roles: Dict[int, str] = {}
-    for v in range(1, n + 1):
-        roles[v] = f"original:{v}"
-    # original vertex set becomes a clique
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            edges.append((u, v))
+    gb = _Builder()
+    # the original vertex set becomes a clique
+    gb.clique([gb.vertex(f"original:{v}") for v in g.vertices])
     # one subdivision vertex per original edge
-    ev = n
     for u, w in g.edges():
-        ev += 1
-        roles[ev] = f"edge:{u},{w}"
-        edges.append((u, ev))
-        edges.append((ev, w))
+        ev = gb.vertex(f"edge:{u},{w}")
+        gb.edge(u, ev)
+        gb.edge(ev, w)
     # disjoint balancing clique
-    first_filler = ev + 1
-    for i in range(filler):
-        roles[first_filler + i] = "filler"
-    for a in range(first_filler, first_filler + filler):
-        for b in range(a + 1, first_filler + filler):
-            edges.append((a, b))
-
-    out = Graph(n + m + filler, edges)
-    expect = 2 * n + 2 * m - k - 2 * pairs
-    if out.n != expect:
-        raise RuntimeError(f"vertex count {out.n} != formula value {expect}")
+    gb.clique(gb.block(filler, "filler"))
 
     prov = f"clique-to-vertex-bisection: n={n} m={m} k={k}"
     if notes:
         prov += "; " + "; ".join(notes)
-    return ReductionOutput(
-        graph=out,
-        params={"k": k, "c": pairs + 2},
-        provenance=prov,
-        vertex_roles=roles,
-    )
+    return gb.output({"k": k, "c": pairs + 2}, prov, 2 * n + 2 * m - k - 2 * pairs)
 
 
 # --------------------------------------------------------------------------
@@ -146,55 +278,29 @@ def bisect_to_vbisect(g: Graph, k: int) -> ReductionOutput:
 
     cv = 3 * m + 2  # size of each per-vertex clique
     big = 5 * n * m  # size of each rebalancing clique
-    edges: List[Tuple[int, int]] = []
-    roles: Dict[int, str] = {}
-
-    def clique(first: int, size: int) -> None:
-        for a in range(first, first + size):
-            for b in range(a + 1, first + size):
-                edges.append((a, b))
-
-    block = {}  # original vertex -> id range of its clique
-    nxt = 1
-    for v in range(1, n + 1):
-        block[v] = range(nxt, nxt + cv)
-        for x in block[v]:
-            roles[x] = f"vertex-clique:{v}"
-        clique(nxt, cv)
-        nxt += cv
+    gb = _Builder()
+    block = {v: gb.block(cv, f"vertex-clique:{v}") for v in g.vertices}
+    for ids in block.values():
+        gb.clique(ids)
     for u, w in g.edges():
-        roles[nxt] = f"edge:{u},{w}"
-        for x in block[u]:
-            edges.append((x, nxt))
-        for x in block[w]:
-            edges.append((x, nxt))
-        nxt += 1
+        ev = gb.vertex(f"edge:{u},{w}")
+        for x in (*block[u], *block[w]):
+            gb.edge(x, ev)
 
     anchors = []
     for side in (1, 2):
-        roles[nxt] = f"balance-anchor:{side}"
-        anchors.append(nxt)
-        for x in range(nxt + 1, nxt + big):
-            roles[x] = f"balance-clique:{side}"
-        clique(nxt, big)
-        nxt += big
-    prev = anchors[0]
-    for i in range(1, m):  # inner path vertices, possibly none
-        roles[nxt] = f"balance-path:{i}"
-        edges.append((prev, nxt))
-        prev = nxt
-        nxt += 1
-    edges.append((prev, anchors[1]))
+        anchor = gb.vertex(f"balance-anchor:{side}")
+        gb.clique([anchor, *gb.block(big - 1, f"balance-clique:{side}")])
+        anchors.append(anchor)
+    inner = [gb.vertex(f"balance-path:{i}") for i in range(1, m)]  # possibly none
+    path = [anchors[0], *inner, anchors[1]]
+    for x, y in zip(path, path[1:]):
+        gb.edge(x, y)
 
-    out = Graph(nxt - 1, edges)
-    expect = n * cv + m + 2 * big + (m - 1)
-    if out.n != expect:
-        raise RuntimeError(f"vertex count {out.n} != formula value {expect}")
-    return ReductionOutput(
-        graph=out,
-        params={"k": k + 1},
-        provenance=f"bisection-to-vertex-bisection: n={n} m={m} k={k}",
-        vertex_roles=roles,
+    return gb.output(
+        {"k": k + 1},
+        f"bisection-to-vertex-bisection: n={n} m={m} k={k}",
+        n * cv + m + 2 * big + (m - 1),
     )
 
 
@@ -230,19 +336,15 @@ def maxcut_cross_compose(instances: Sequence[Tuple[Graph, int]]) -> ReductionOut
 
     if k < 1:
         # every graph has a cut with zero edges
-        return ReductionOutput(
-            graph=Graph(2),
-            params={"k": 0, "trivial": "yes"},
-            provenance=f"maxcut-cross-composition: trivial yes (k={k} < 1)",
-            vertex_roles={1: "trivial", 2: "trivial"},
+        return _trivial(
+            {"k": 0, "trivial": "yes"},
+            f"maxcut-cross-composition: trivial yes (k={k} < 1)",
         )
     if k > n * n:
         # no n-vertex graph has n^2 cut edges
-        return ReductionOutput(
-            graph=Graph(2, [(1, 2)]),
-            params={"k": 0, "trivial": "no"},
-            provenance=f"maxcut-cross-composition: trivial no (k={k} > n^2)",
-            vertex_roles={1: "trivial", 2: "trivial"},
+        return _trivial(
+            {"k": 0, "trivial": "no"},
+            f"maxcut-cross-composition: trivial no (k={k} > n^2)",
         )
 
     graphs = [g for g, _ in instances]
@@ -252,33 +354,18 @@ def maxcut_cross_compose(instances: Sequence[Tuple[Graph, int]]) -> ReductionOut
         padded = True
 
     w = n * n
-    edges: List[Tuple[int, int]] = []
-    weights: Dict[Tuple[int, int], int] = {}
-    roles: Dict[int, str] = {}
+    gb = _Builder()
     for i, gi in enumerate(graphs, start=1):
-        base = (i - 1) * 2 * n  # vertex v of instance i gets id base + v
-        for v in range(1, n + 1):
-            roles[base + v] = f"instance:{i}:vertex:{v}"
-            roles[base + n + v] = f"instance:{i}:mirror"
-        for a in range(1, 2 * n + 1):
-            for b in range(a + 1, 2 * n + 1):
-                e = (base + a, base + b)
-                edges.append(e)
-                if a <= n and b <= n and gi.has_edge(a, b):
-                    weights[e] = w - 1
-                else:
-                    weights[e] = w
+        ids = [gb.vertex(f"instance:{i}:vertex:{v}") for v in gi.vertices]
+        ids += gb.block(n, f"instance:{i}:mirror")
+        # positions past n are mirrors, never an edge of gi
+        for (a, x), (b, y) in combinations(enumerate(ids, start=1), 2):
+            gb.edge(x, y, w - 1 if gi.has_edge(a, b) else w)
 
-    out = Graph(2 * n * len(graphs), edges, edge_weights=weights)
     prov = f"maxcut-cross-composition: t={len(instances)} n={n} k={k}"
     if padded:
         prov += "; appended one edgeless instance to make the count odd"
-    return ReductionOutput(
-        graph=out,
-        params={"k": w * n * n - k},
-        provenance=prov,
-        vertex_roles=roles,
-    )
+    return gb.output({"k": w * n * n - k}, prov, 2 * n * len(graphs))
 
 
 # --------------------------------------------------------------------------
@@ -318,28 +405,18 @@ def weighted_to_unweighted(
                 f"{size}; cannot place that many disjoint edges"
             )
 
-    edges: List[Tuple[int, int]] = []
-    roles: Dict[int, str] = {}
-    first = {}
-    for v in range(1, gw.n + 1):
-        first[v] = (v - 1) * size + 1
-        for x in range(first[v], first[v] + size):
-            roles[x] = f"vertex-clique:{v}"
-        for a in range(first[v], first[v] + size):
-            for b in range(a + 1, first[v] + size):
-                edges.append((a, b))
+    gb = _Builder()
+    block = {v: gb.block(size, f"vertex-clique:{v}") for v in gw.vertices}
+    for ids in block.values():
+        gb.clique(ids)
     for u, v in gw.edges():
         for i in range(gw.edge_weight(u, v)):
-            edges.append((first[u] + i, first[v] + i))
+            gb.edge(block[u][i], block[v][i])
 
-    out = Graph(gw.n * size, edges)
-    return ReductionOutput(
-        graph=out,
-        params={"k": k_star},
-        provenance=(
-            f"weight-removal: n={gw.n} m={gw.m} k={k_star} weight-bound={w}"
-        ),
-        vertex_roles=roles,
+    return gb.output(
+        {"k": k_star},
+        f"weight-removal: n={gw.n} m={gw.m} k={k_star} weight-bound={w}",
+        gw.n * size,
     )
 
 
@@ -367,120 +444,22 @@ def binpacking_to_forest(
 
     total = sum(weights)
     if total > b * cap:
-        return ReductionOutput(
-            graph=Graph(2, [(1, 2)]),
-            params={"k": 0, "d": 2, "trivial": "no"},
-            provenance=(
-                f"binpacking-to-forest: trivial no (total weight {total} > "
-                f"{b}*{cap})"
-            ),
-            vertex_roles={1: "trivial", 2: "trivial"},
+        return _trivial(
+            {"k": 0, "d": 2, "trivial": "no"},
+            f"binpacking-to-forest: trivial no (total weight {total} > {b}*{cap})",
         )
 
-    sizes = list(weights)
     pad = b * cap - total
-    edges = []
-    roles: Dict[int, str] = {}
-    nxt = 1
-    for i, width in enumerate(sizes + [1] * pad, start=1):
-        tag = f"item:{i}" if i <= len(sizes) else f"filler-item:{i}"
-        for j in range(width):
-            roles[nxt + j] = tag
-        for j in range(width - 1):
-            edges.append((nxt + j, nxt + j + 1))
-        nxt += width
+    gb = _Builder()
+    for i, width in enumerate(list(weights) + [1] * pad, start=1):
+        path = gb.block(width, f"item:{i}" if i <= len(weights) else f"filler-item:{i}")
+        for x, y in zip(path, path[1:]):
+            gb.edge(x, y)
 
-    out = Graph(b * cap, edges)
     prov = f"binpacking-to-forest: items={len(weights)} b={b} C={cap}"
     if pad:
         prov += f"; padded with {pad} unit items"
-    return ReductionOutput(
-        graph=out,
-        params={"k": 0, "d": b},
-        provenance=prov,
-        vertex_roles=roles,
-    )
-
-
-# --------------------------------------------------------------------------
-# Choice gadgets
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChoiceGadget:
-    """A path with pendant vertices that forces a one-position cut.
-
-    The spine is a path of ``t + 1`` vertices for ``t`` admissible values
-    ``a_1 < ... < a_t``; pendant counts are arranged so that cutting the
-    spine between positions ``p`` and ``p + 1`` puts exactly ``a_p``
-    non-endpoint vertices on the first side and ``b - a_p`` on the other.
-    The whole gadget always has ``b + 2`` vertices.
-    """
-
-    a_set: Tuple[int, ...]
-    b: int
-    spine: Tuple[int, ...]
-    pendants: Tuple[int, ...]
-
-    def __post_init__(self):
-        t = len(self.a_set)
-        if self.spine != tuple(range(1, t + 2)):
-            raise ValueError("spine must be the positions 1..t+1")
-        if len(self.pendants) != t + 1:
-            raise ValueError("one pendant count per spine vertex")
-        want = [self.a_set[0]]
-        for i in range(1, t):
-            want.append(self.a_set[i] - self.a_set[i - 1] - 1)
-        want.append(self.b - self.a_set[-1])
-        if list(self.pendants) != want:
-            raise ValueError(f"pendant counts must be {tuple(want)}")
-        if self.total_vertices != self.b + 2:
-            raise ValueError("gadget must have exactly b + 2 vertices")
-
-    @property
-    def total_vertices(self) -> int:
-        return len(self.spine) + sum(self.pendants)
-
-    def side_sizes(self, p: int) -> Tuple[int, int]:
-        """Vertex counts on the two sides when cutting between spine
-        positions ``p`` and ``p + 1``, excluding the two spine endpoints."""
-        if not 1 <= p <= len(self.a_set):
-            raise ValueError(f"cut position must be in 1..{len(self.a_set)}")
-        left = (p - 1) + sum(self.pendants[:p])
-        right = (len(self.spine) - p - 1) + sum(self.pendants[p:])
-        return left, right
-
-
-def make_choice_gadget(a_set: Iterable[int], b: int) -> ChoiceGadget:
-    """Build the gadget for admissible values ``a_set`` and budget ``b``.
-
-    Requires ``0 <= a_1 < a_2 < ... < a_t <= b``; a sequence that is not
-    strictly increasing is rejected.
-    """
-    if b < 1:
-        raise ValueError("budget must be positive")
-    values = list(a_set)
-    if isinstance(a_set, (set, frozenset)):
-        values.sort()
-    if not values:
-        raise ValueError("need at least one admissible value")
-    if values[0] < 0 or values[-1] > b:
-        raise ValueError("admissible values must lie in [0, b]")
-    if any(x >= y for x, y in zip(values, values[1:])):
-        raise ValueError("admissible values must be strictly increasing")
-
-    t = len(values)
-    pendants = [values[0]]
-    for i in range(1, t):
-        pendants.append(values[i] - values[i - 1] - 1)
-    pendants.append(b - values[-1])
-    return ChoiceGadget(
-        a_set=tuple(values),
-        b=b,
-        spine=tuple(range(1, t + 2)),
-        pendants=tuple(pendants),
-    )
+    return gb.output({"k": 0, "d": b}, prov, b * cap)
 
 
 # --------------------------------------------------------------------------
@@ -494,48 +473,6 @@ def _next_slot(i: int, j: int, s: int) -> int:
     if nxt == i:
         nxt = nxt % s + 1
     return nxt
-
-
-class _Builder:
-    """Incremental vertex/edge accumulator for the big gadget graph."""
-
-    def __init__(self):
-        self.n = 0
-        self.edges: Set[Tuple[int, int]] = set()
-        self.roles: Dict[int, str] = {}
-        self.merged = 0
-
-    def vertex(self, role: str) -> int:
-        self.n += 1
-        self.roles[self.n] = role
-        return self.n
-
-    def chain(self, first: int, last: int, gadget: ChoiceGadget, tag: str) -> None:
-        """Lay a choice gadget between two existing vertices.
-
-        ``first`` and ``last`` take the place of the spine endpoints; the
-        inner spine and all pendant vertices are freshly allocated.  A
-        gadget with a single admissible value and no inner spine vertex
-        degenerates to a direct edge between its endpoints; when two such
-        gadgets sit between the same pair of anchors (possible only on
-        degenerate inputs far below the size threshold) they share that
-        edge, which is counted in ``merged``.
-        """
-        spine = [first]
-        for pos in range(2, len(gadget.spine)):
-            spine.append(self.vertex(f"{tag}:spine{pos}"))
-        spine.append(last)
-        for x, y in zip(spine, spine[1:]):
-            e = (x, y) if x < y else (y, x)
-            if e in self.edges:
-                self.merged += 1
-            else:
-                self.edges.add(e)
-        for pos, count in enumerate(gadget.pendants, start=1):
-            for _ in range(count):
-                self.edges.add(
-                    (spine[pos - 1], self.vertex(f"{tag}:pendant{pos}"))
-                )
 
 
 def mcclique_to_bpart(
@@ -622,14 +559,14 @@ def mcclique_to_bpart(
                 )
             edge_values[(i, j)] = vals
 
-    b = _Builder()
+    gb = _Builder()
     head: Dict[Tuple[int, int], int] = {}
     tail: Dict[Tuple[int, int], int] = {}
     for i in range(1, s + 1):
         for j in range(1, s + 1):
             if j != i:
-                head[(i, j)] = b.vertex(f"anchor:{i}.{j}.head")
-                tail[(i, j)] = b.vertex(f"anchor:{i}.{j}.tail")
+                head[(i, j)] = gb.vertex(f"anchor:{i}.{j}.head")
+                tail[(i, j)] = gb.vertex(f"anchor:{i}.{j}.tail")
 
     for i in range(1, s + 1):
         ci = len(classes[i])
@@ -639,14 +576,14 @@ def mcclique_to_bpart(
                 continue
             # within the cycle: tail of slot j runs to the head of the next
             # slot, choosing this color's clique vertex ...
-            b.chain(
+            gb.chain(
                 head[(i, _next_slot(i, j, s))],
                 tail[(i, j)],
                 vertex_gadget,
                 f"vertex-choice:{i}.{j}",
             )
             # ... while the slot itself chooses vertex plus connecting edge
-            b.chain(
+            gb.chain(
                 head[(i, j)],
                 tail[(i, j)],
                 make_choice_gadget(edge_values[(i, j)], ci * z0 + ne),
@@ -656,10 +593,10 @@ def mcclique_to_bpart(
     transmitter = make_choice_gadget(list(range(1, ne + 1)), ne)
     for i in range(1, s + 1):
         for j in range(i + 1, s + 1):
-            b.chain(tail[(j, i)], head[(i, j)], transmitter,
-                    f"transmitter:{i}.{j}")
-            b.chain(tail[(i, j)], head[(j, i)], transmitter,
-                    f"transmitter:{j}.{i}")
+            gb.chain(tail[(j, i)], head[(i, j)], transmitter,
+                     f"transmitter:{i}.{j}")
+            gb.chain(tail[(i, j)], head[(j, i)], transmitter,
+                     f"transmitter:{j}.{i}")
 
     for i in range(1, s + 1):
         extra = 10 * z0 * (nv + ne) - z0 * len(classes[i]) - ne // 2
@@ -668,34 +605,19 @@ def mcclique_to_bpart(
                 continue
             for kind, anchor in (("head", head[(i, j)]), ("tail", tail[(i, j)])):
                 for _ in range(extra):
-                    b.edges.add(
-                        (anchor, b.vertex(f"anchor-pendant:{i}.{j}.{kind}"))
-                    )
+                    gb.edge(anchor, gb.vertex(f"anchor-pendant:{i}.{j}.{kind}"))
 
     d = 2 * s * (s - 1)
     n0 = 10 * z0 * (nv + ne) + ne // 2 + 1
-    if b.n != d * n0:
-        raise RuntimeError(f"vertex count {b.n} != formula value {d * n0}")
-
-    out = Graph(b.n, sorted(b.edges))
     prov = (f"multicolored-clique-to-balanced-partition: n={g.n} m={g.m} "
             f"s={s} z0={z0}")
-    if b.merged:
+    if gb.merged:
         notes.append(
-            f"{b.merged} degenerate gadget pair(s) share an anchor edge"
+            f"{gb.merged} degenerate gadget pair(s) share an anchor edge"
         )
     if notes:
         prov += "; " + "; ".join(notes)
     if small:
         prov += "; warning: input below the documented size threshold"
-    return ReductionOutput(
-        graph=out,
-        params={
-            "k": 3 * s * (s - 1),
-            "d": d,
-            "part_size": n0,
-            "small_input": small,
-        },
-        provenance=prov,
-        vertex_roles=b.roles,
-    )
+    params = {"k": 3 * s * (s - 1), "d": d, "part_size": n0, "small_input": small}
+    return gb.output(params, prov, d * n0)

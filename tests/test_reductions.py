@@ -8,6 +8,7 @@ oracle, both checkers run and must agree, which validates the quotient
 helper in passing.
 """
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balcut.formats import emit_graph
 from balcut.graph import Graph, Separation, connected_components, complete_graph
 from balcut.oracle import (
     brute_balanced_partition,
@@ -24,6 +26,7 @@ from balcut.oracle import (
 )
 from balcut.reductions import (
     ChoiceGadget,
+    _Builder,
     binpacking_to_forest,
     bisect_to_vbisect,
     clique_to_vbisect,
@@ -458,8 +461,8 @@ def test_choice_gadget_rejects_bad_inputs():
         make_choice_gadget([1], 0)
     with pytest.raises(ValueError, match="at least one"):
         make_choice_gadget([], 5)
-    with pytest.raises(ValueError, match="pendant counts"):
-        ChoiceGadget(a_set=(1, 3), b=4, spine=(1, 2, 3), pendants=(2, 1, 1))
+    with pytest.raises(ValueError, match="lie in"):
+        ChoiceGadget(a_set=(1, 5), b=4)
     with pytest.raises(ValueError, match="cut position"):
         make_choice_gadget([1, 3], 4).side_sizes(3)
 
@@ -559,3 +562,104 @@ def test_provenance_mentions_generator_and_input_shape():
     assert out.provenance.startswith("clique-to-vertex-bisection: n=3 m=3 k=2")
     out2 = bisect_to_vbisect(Graph(2, [(1, 2)]), 1)
     assert "n=2 m=1 k=1" in out2.provenance
+
+
+def test_builder_refuses_a_repeated_pair_and_a_wrong_count():
+    gb = _Builder()
+    u, v = gb.block(2, "end")
+    gb.edge(u, v)
+    with pytest.raises(ValueError, match="parallel edge"):
+        gb.edge(v, u, weight=3)
+    with pytest.raises(ValueError, match="parallel edge"):
+        gb.clique([u, v])
+    with pytest.raises(RuntimeError, match="formula value 3"):
+        gb.output({}, "", 3)
+    assert gb.output({}, "", 2).graph.edges() == [(1, 2)]
+
+
+def test_every_generator_checks_its_closed_form_count(monkeypatch):
+    expects = []
+    output = _Builder.output
+
+    def spy(self, params, provenance, expect):
+        expects.append(expect)
+        return output(self, params, provenance, expect)
+
+    monkeypatch.setattr(_Builder, "output", spy)
+    edge = Graph(2, [(1, 2)])
+    outs = [
+        clique_to_vbisect(complete_graph(3), 2),  # 2n + 2m - k - 2 C(k, 2)
+        bisect_to_vbisect(edge, 1),  # n (3m + 2) + m + 2 (5nm) + m - 1
+        maxcut_cross_compose([(edge, 1)] * 2),  # 2n t, t padded to odd
+        weighted_to_unweighted(Graph(2, [(1, 2)], edge_weights={(1, 2): 2}), 1),
+        binpacking_to_forest([2, 1], 2, 2),  # b cap
+        mcclique_to_bpart(edge, {1: 1, 2: 2}, 2),  # d n0
+    ]
+    assert expects == [
+        2 * 3 + 2 * 3 - 2 - 2 * 1,
+        2 * 5 + 1 + 2 * 10 + 0,
+        2 * 2 * 3,
+        2 * (2 + 1 + 2),  # n (W + k + 2)
+        2 * 2,
+        4 * 842,
+    ]
+    assert [out.graph.n for out in outs] == expects
+
+
+def _pinned_calls():
+    """A fixed, seeded set of small calls reaching every generator branch."""
+    rng = random.Random(21)
+
+    def some_graph(n, p):
+        return Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+    calls = []
+    for n in range(2, 7):
+        g = some_graph(n, 0.6)
+        # odd k goes through the universal vertex; small n + m hits "too small"
+        calls += [(clique_to_vbisect, g, k) for k in range(n + 1)]
+    for n in (2, 3):
+        g = some_graph(n, 0.8)
+        calls += [(bisect_to_vbisect, g, k) for k in range(1, g.m + 1)]
+    for n in (1, 2, 3):
+        for t in (1, 2, 3):
+            insts = [some_graph(n, 0.5) for _ in range(t)]
+            # k = 0 is a trivial yes, k = n^2 + 1 a trivial no
+            calls += [(maxcut_cross_compose, [(h, k) for h in insts])
+                      for k in (0, 1, 2, n * n + 1)]
+    for n in (2, 3, 4):
+        g = some_graph(n, 0.7)
+        gw = Graph(n, g.edges(), edge_weights={e: rng.randint(1, 3) for e in g.edges()})
+        calls += [(weighted_to_unweighted, gw, ks, w) for ks in (0, 2) for w in (None, 1, 4)]
+    for b in (1, 2, 3):
+        for cap in (2, 5):
+            items = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            calls.append((binpacking_to_forest, items, b, cap))
+    two = {1: 1, 2: 1, 3: 2, 4: 2}
+    calls += [
+        (mcclique_to_bpart, Graph(2, [(1, 2)]), {1: 1, 2: 2}, 2),
+        (mcclique_to_bpart, Graph(4, [(1, 3), (2, 4), (1, 4)]), two, 2),
+        (mcclique_to_bpart, Graph(4, [(1, 3), (2, 4)]), two, 2),
+        (mcclique_to_bpart, complete_graph(3), {1: 1, 2: 2, 3: 3}, 3),
+    ]
+    return calls
+
+
+def test_generator_bytes_are_pinned():
+    """Graph text, params, provenance and roles of every pinned call hash to
+    the digest taken at commit ab78772; any change to a generator's output
+    moves it."""
+    digest = hashlib.sha256()
+    for fn, *args in _pinned_calls():
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            digest.update(f"{fn.__name__} refused: {exc}\n".encode())
+            continue
+        digest.update(emit_graph(out.graph).encode())
+        digest.update(repr(sorted(out.params.items())).encode())
+        digest.update(out.provenance.encode())
+        digest.update(repr(sorted(out.vertex_roles.items())).encode())
+    assert digest.hexdigest() == (
+        "9334e405a3d818fb82479d31f9bfa89b33780c6f40d8edb44cd746c11f78d31e"
+    )
