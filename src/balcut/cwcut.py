@@ -65,28 +65,20 @@ def _require_unit_edges(g: Graph) -> None:
         )
 
 
-def _induced_adjacency(g: Graph, keep: FrozenSet[int]) -> Dict[int, FrozenSet[int]]:
-    return {v: g.neighbors(v) & keep for v in keep}
-
-
-def _correspondence_by_names(lg, rest: FrozenSet[int], adj) -> Optional[Dict[int, int]]:
+def _correspondence_by_names(g: Graph, lg, rest: FrozenSet[int]) -> Optional[Dict[int, int]]:
     names = lg.names
     values = [names[v] for v in lg.graph.vertices]
-    if any(x is None for x in values) or len(set(values)) != len(values):
+    if set(values) != rest:  # as many leaves as vertices, so a bijection
         return None
-    if set(values) != rest:
-        return None
-    mapping = {v: names[v] for v in lg.graph.vertices}
-    for u in lg.graph.vertices:
-        if {mapping[w] for w in lg.graph.neighbors(u)} != adj[mapping[u]]:
-            raise ValueError(
-                "expression names the right vertices but produces different edges"
-            )
-    return mapping
+    named = {tuple(sorted((names[u], names[v]))) for u, v in lg.graph.edges()}
+    if named != {e for e in g.edges() if e[0] in rest and e[1] in rest}:
+        raise ValueError("expression names the right vertices but produces different edges")
+    return dict(zip(lg.graph.vertices, values))
 
 
-def _correspondence_by_search(lg, rest: FrozenSet[int], adj) -> Dict[int, int]:
+def _correspondence_by_search(g: Graph, lg, rest: FrozenSet[int]) -> Dict[int, int]:
     h = lg.graph
+    adj = {v: g.neighbors(v) & rest for v in rest}  # G - D
     if h.n > 10:
         raise ValueError(
             "expression leaves are unnamed and the isomorphism search that"
@@ -132,11 +124,10 @@ def _match_expression(g: Graph, d_set: FrozenSet[int], lg) -> Dict[int, int]:
             f"expression has {lg.graph.n} vertices but the graph minus the"
             f" deletion set has {len(rest)}"
         )
-    adj = _induced_adjacency(g, rest)
-    by_name = _correspondence_by_names(lg, rest, adj)
+    by_name = _correspondence_by_names(g, lg, rest)
     if by_name is not None:
         return by_name
-    return _correspondence_by_search(lg, rest, adj)
+    return _correspondence_by_search(g, lg, rest)
 
 
 def cut_dp(

@@ -1,8 +1,9 @@
 """Undirected graphs with optional integer weights, plus partition/separator checks.
 
 Everything downstream (solvers, oracles, generators) works on these types.
-Graphs are immutable after construction and all operations here are pure,
-so concurrent use is safe.
+In a vertex mask bit v stands for vertex v: ``adjacency_masks`` builds each
+neighbourhood as one and ``mask_members`` reads one back.  Graphs are
+immutable and all operations here are pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -218,6 +219,15 @@ class DPartition:
 def mask_members(mask: int) -> List[int]:
     """The set bits of ``mask`` in increasing order (bit v stands for v)."""
     return [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def adjacency_masks(g: Graph) -> List[int]:
+    """masks[v] is the vertex mask of N(v); masks[0] is 0."""
+    masks = [0] * (g.n + 1)
+    for u, v in g.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> List[FrozenSet[int]]:

@@ -3,7 +3,10 @@
 These are the ground truth the real solvers are tested against.  They favour
 obviousness over speed: plain subset enumeration with bitmask vertex sets,
 hard size guards that raise instead of running forever, and fixed
-lexicographic tie-breaks so results are reproducible bit for bit.
+lexicographic tie-breaks so results are reproducible bit for bit.  Bit v of
+a vertex mask stands for vertex v, as in ``graph.adjacency_masks``.  The
+one enumerator of splits into capped groups, ``restricted_growth_strings``,
+serves both this module and ``vcpart.enumerate_cover_partitions``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .graph import Bipartition, DPartition, Graph, Separation, connected_components
+from .graph import (
+    Bipartition,
+    DPartition,
+    Graph,
+    Separation,
+    adjacency_masks,
+    connected_components,
+)
 
 
 @dataclass(frozen=True)
@@ -34,15 +44,6 @@ class OracleSizeError(ValueError):
     """Instance exceeds the enumeration guard of a brute-force solver."""
 
 
-def _adj_masks(g: Graph):
-    # bit i-1 set <=> vertex i; index 0 unused
-    masks = [0] * (g.n + 1)
-    for u, v in g.edges():
-        masks[u] |= 1 << (v - 1)
-        masks[v] |= 1 << (u - 1)
-    return masks
-
-
 def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
     """Minimum cut over all bipartitions with both sides of size <= ceil(n/2).
 
@@ -58,7 +59,7 @@ def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
 
     half = n // 2
     verts = list(g.vertices)
-    adj = _adj_masks(g)
+    adj = adjacency_masks(g)
     unit = g.is_unit_edge_weighted() or not edge_weighted
     edges = g.edges()
 
@@ -68,12 +69,8 @@ def brute_bisection(g: Graph, edge_weighted: bool = False) -> OracleResult:
         if n % 2 == 0 and half > 0 and combo[0] != 1:
             continue
         if unit:
-            amask = 0
-            for v in combo:
-                amask |= 1 << (v - 1)
-            cut = 0
-            for v in combo:
-                cut += (adj[v] & ~amask).bit_count()
+            amask = sum(1 << v for v in combo)
+            cut = sum((adj[v] & ~amask).bit_count() for v in combo)
         else:
             aset = set(combo)
             cut = sum(g.edge_weight(u, v) for u, v in edges if (u in aset) != (v in aset))
@@ -124,26 +121,36 @@ def brute_vertex_bisection(g: Graph, k: int, c: Optional[int] = None) -> OracleR
     return OracleResult(None, None)
 
 
-def _restricted_growth_strings(n: int, max_groups: int, cap: int):
-    """Yield assignments of n items to at most max_groups groups, each group
-    holding at most cap items, in restricted-growth-string order."""
-    assign = [0] * n
-    counts = [0] * max_groups
-
-    def rec(i: int, used: int):
+def restricted_growth_strings(n: int, max_groups: int, cap: int):
+    """Yield, in lexicographic order, each restricted-growth string of n
+    items (item i joins one of the groups items 0..i-1 use, or the next)
+    with at most max_groups groups of at most cap items.  An explicit cursor
+    moves item i to its next group with room, or back to item i - 1 when
+    none is left; used[i] counts the groups of items 0..i-1."""
+    assign = [-1] * n
+    counts = [0] * min(max_groups, n)
+    used = [0] * (n + 1)
+    i = 0
+    while i >= 0:
         if i == n:
             yield tuple(assign)
-            return
-        top = min(used + 1, max_groups)
-        for grp in range(top):
-            if counts[grp] == cap:
-                continue
+            i -= 1
+            continue
+        grp = assign[i]
+        if grp >= 0:
+            counts[grp] -= 1
+        top = min(used[i] + 1, max_groups)
+        grp += 1
+        while grp < top and counts[grp] == cap:
+            grp += 1
+        if grp < top:
             assign[i] = grp
             counts[grp] += 1
-            yield from rec(i + 1, max(used, grp + 1))
-            counts[grp] -= 1
-
-    yield from rec(0, 0)
+            used[i + 1] = max(used[i], grp + 1)
+            i += 1
+        else:
+            assign[i] = -1
+            i -= 1
 
 
 def brute_balanced_partition(g: Graph, d: int) -> OracleResult:
@@ -153,14 +160,12 @@ def brute_balanced_partition(g: Graph, d: int) -> OracleResult:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = g.n
-    if n == 0:
-        return OracleResult(0, DPartition([frozenset()] * d))
     cap = -(-n // d)
     verts = list(g.vertices)
 
     best = None
     best_assign = None
-    for assign in _restricted_growth_strings(n, d, cap):
+    for assign in restricted_growth_strings(n, d, cap):
         cut = 0
         for u, v in g.edges():
             if assign[u - 1] != assign[v - 1]:
@@ -187,7 +192,7 @@ def brute_maxcut(g: Graph) -> OracleResult:
     if n == 0:
         return OracleResult(0, Bipartition((), ()))
 
-    adj = _adj_masks(g)
+    adj = adjacency_masks(g)
     unit = g.is_unit_edge_weighted()
     wadj = None
     if not unit:
@@ -209,13 +214,11 @@ def brute_maxcut(g: Graph) -> OracleResult:
         low = mask & -mask
         prev = mask ^ low
         v = low.bit_length() + 1  # vertex index of the newly-added bit
-        amask_prev = 1 | (prev << 1)
+        amask_prev = 2 | prev << 2  # side A in adjacency-mask bits (bit v <=> v)
         if unit:
             to_a = (adj[v] & amask_prev).bit_count()
         else:
-            to_a = sum(
-                w for u, w in wadj[v] if u == 1 or (u >= 2 and prev >> (u - 2) & 1)
-            )
+            to_a = sum(w for u, w in wadj[v] if amask_prev >> u & 1)
         cut[mask] = cut[prev] + deg_w[v] - 2 * to_a
 
     best_mask = max(range(total), key=lambda mk: (cut[mk], -mk))

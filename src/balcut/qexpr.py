@@ -254,10 +254,8 @@ def _replay(nodes: List[QExpression]) -> _Replay:
     return _Replay(classes, names, edges, dropped, full)
 
 
-def eval_qexpr(expr: QExpression, q: Optional[int] = None) -> LabeledGraph:
-    """Evaluate to the labeled graph; with q given, reject labels above q."""
-    if q is not None and expr.q > q:
-        raise ValueError(f"expression uses label {expr.q} but q={q}")
+def eval_qexpr(expr: QExpression) -> LabeledGraph:
+    """Evaluate to the labeled graph."""
     r = _replay(postorder(expr))
     label_of = {v: label for label, verts in r.classes.items() for v in verts}
     n = len(r.names)

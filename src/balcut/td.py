@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, adjacency_masks
 
 
 class TreeDecomposition:
@@ -250,10 +250,8 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
     if n == 0:
         return -1, TreeDecomposition({1: ()}, [])
 
-    adj = [0] * (n + 1)
-    for u, v in g.edges():
-        adj[u] |= 1 << (v - 1)
-        adj[v] |= 1 << (u - 1)
+    # bit v - 1 stands for vertex v, so the subsets of V index a 2^n table
+    adj = [mask >> 1 for mask in adjacency_masks(g)]
 
     def reach_outside(sp: int, v: int) -> int:
         """Vertices outside sp reachable from v via paths inside sp."""

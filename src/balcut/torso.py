@@ -6,7 +6,8 @@ of G - W by a single *component vertex* adjacent to the component's
 neighbourhood in W.  The torso drops the component vertices and cliques
 their neighbourhoods instead.  A (k, T)-trimmer is the annotated torso over
 W = hull(T, k) ∪ T, where the hull collects every vertex of every
-inclusion-minimal separator of size at most k between two terminals.
+inclusion-minimal separator of size at most k between two terminals; the
+``Trimmer`` type is an ``AnnotatedTorso`` that also records k and T.
 
 Those separators are enumerated by a bounded search tree (in the style of
 Marx, "Parameterized graph separation problems", 2006): each step finds a
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from .graph import Graph, connected_components
+from .graph import Graph, adjacency_masks, connected_components
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _adjacency_masks(g: Graph) -> List[int]:
-    """adj[v] is the mask of N(v); bit v of a mask stands for vertex v."""
-    adj = [0] * (g.n + 1)
-    for u, v in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _st_path(adj: List[int], s: int, t: int, blocked: int):
     """Level-by-level breadth-first search from s in G - blocked, over
-    vertex masks (see ``_adjacency_masks``).
+    vertex masks (see ``graph.adjacency_masks``).
 
     Returns (the inner vertices of a shortest s-t path in order from s, None)
     if t is reachable, else (None, the mask of the component of s).  The path
@@ -260,7 +252,7 @@ def minimal_st_separators(
         raise ValueError("terminal outside the graph")
     if g.has_edge(s, t):
         return None
-    adj = _adjacency_masks(g)
+    adj = adjacency_masks(g)
     if _st_path(adj, s, t, 0)[0] is None:
         return {frozenset()}
     if _vertex_connectivity_at_least(g, s, t, k + 1):
@@ -302,19 +294,15 @@ def separator_hull(g: Graph, terminals: Iterable[int], k: int) -> FrozenSet[int]
 
 
 @dataclass(frozen=True)
-class Trimmer:
-    g_star: Graph
-    phi: Dict[int, int]
-    phi_inv: Dict[int, FrozenSet[int]]
-    component_vertices: FrozenSet[int]
+class Trimmer(AnnotatedTorso):
+    """The annotated torso over hull(T, k) ∪ T, with its k and T."""
+
     k: int
     terminals: FrozenSet[int]
 
-    def pull_back(self, s: Iterable[int]) -> FrozenSet[int]:
-        out: set = set()
-        for v in s:
-            out |= self.phi_inv[v]
-        return frozenset(out)
+    @property
+    def g_star(self) -> Graph:
+        return self.g_prime
 
 
 def build_trimmer(g: Graph, k: int, terminals: Iterable[int]) -> Trimmer:

@@ -19,11 +19,16 @@ room-respecting floor is that minimum cost, so splits are priced by it and
 only the winner is assigned.  The cover itself comes from a branching
 search pruned by a greedy-matching lower bound, with its budget starting
 at the size of a greedy cover.
+
+``enumerate_cover_partitions`` lists the same splits in the same order from
+the oracle's restricted-growth strings; it is the reference the solver's
+walk is tested against.
 """
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DPartition, Graph, cut_size
+from .oracle import restricted_growth_strings
 
 
 def _greedy_cover_size(g: Graph) -> int:
@@ -103,30 +108,11 @@ def enumerate_cover_partitions(
     items = sorted(set(c_set))
     if len(items) > n:
         raise ValueError("cover is larger than the graph")
-    cap = -(-n // d)
-    max_groups = min(d, len(items))
-    if not items:
-        yield ()
-        return
-    assign = [0] * len(items)
-    counts = [0] * max_groups
-
-    def rec(i: int, used: int) -> Iterator[Tuple[FrozenSet[int], ...]]:
-        if i == len(items):
-            yield tuple(
-                frozenset(items[t] for t in range(len(items)) if assign[t] == j)
-                for j in range(used)
-            )
-            return
-        for grp in range(min(used + 1, max_groups)):
-            if counts[grp] == cap:
-                continue
-            assign[i] = grp
-            counts[grp] += 1
-            yield from rec(i + 1, max(used, grp + 1))
-            counts[grp] -= 1
-
-    yield from rec(0, 0)
+    for assign in restricted_growth_strings(len(items), d, -(-n // d)):
+        groups: List[List[int]] = [[] for _ in range(max(assign, default=-1) + 1)]
+        for v, grp in zip(items, assign):
+            groups[grp].append(v)
+        yield tuple(map(frozenset, groups))
 
 
 def min_cost_assignment(

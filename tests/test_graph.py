@@ -7,6 +7,7 @@ from balcut.graph import (
     DPartition,
     Graph,
     Separation,
+    adjacency_masks,
     complete_graph,
     connected_components,
     count_components_after_removal,
@@ -18,6 +19,8 @@ from balcut.graph import (
     star_graph,
     validate_bisection,
 )
+
+from .conftest import random_graph
 
 
 def test_construction_rejects_bad_edges():
@@ -158,6 +161,17 @@ def test_mask_members_lists_set_bits_in_order():
     assert mask_members(0) == []
     assert mask_members(0b101101) == [0, 2, 3, 5]
     assert mask_members(1 << 70) == [70]
+
+
+@pytest.mark.parametrize(
+    "n,p,seed", [(0, 0.5, 0), (1, 0.5, 0), (6, 0.5, 1), (12, 0.3, 2), (20, 0.2, 3)]
+)
+def test_adjacency_masks_list_each_neighbourhood(n, p, seed):
+    g = random_graph(n, p, seed)
+    masks = adjacency_masks(g)
+    assert len(masks) == n + 1 and masks[0] == 0
+    for v in g.vertices:
+        assert mask_members(masks[v]) == sorted(g.neighbors(v))
 
 
 def test_validate_bisection():

@@ -1,10 +1,8 @@
 """No library function calls itself.
 
-Deep inputs (long paths, deep expressions) must never end in a
-RecursionError, so every walk in ``src/balcut`` uses an explicit stack.
-Two recursions are bounded and allowed: the oracle's restricted-growth
-strings, whose depth is the oracle's guarded graph size, and the cover
-partition enumeration, whose depth is the cover size.
+Deep inputs (long paths, deep expressions, large covers) must never end in
+a RecursionError, so every walk in ``src/balcut`` uses an explicit stack or
+cursor, and no recursion is allowed.
 """
 
 import ast
@@ -12,10 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "balcut"
 
-ALLOWED = {
-    "oracle._restricted_growth_strings.rec",
-    "vcpart.enumerate_cover_partitions.rec",
-}
+ALLOWED = set()
 
 
 def _calls_itself(fn) -> bool:

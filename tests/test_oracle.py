@@ -1,5 +1,7 @@
 """Brute-force oracle behaviour: spec'd values, guards, determinism."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from balcut.oracle import (
     brute_bisection,
     brute_maxcut,
     brute_vertex_bisection,
+    restricted_growth_strings,
 )
 
 from .conftest import petersen, random_graph
@@ -154,6 +157,30 @@ def test_balanced_partition_d1():
     g = cycle_graph(5)
     r = brute_balanced_partition(g, 1)
     assert r.optimum == 0 and r.witness.parts[0] == frozenset(g.vertices)
+
+
+def _is_capped_rgs(s, cap):
+    opened = 0
+    for grp in s:
+        if grp > opened:
+            return False
+        opened = max(opened, grp + 1)
+    return all(s.count(grp) <= cap for grp in set(s))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_restricted_growth_strings_match_filtered_product(n):
+    for max_groups in range(4):
+        for cap in range(4):
+            want = [
+                s for s in sorted(product(range(max_groups), repeat=n)) if _is_capped_rgs(s, cap)
+            ]
+            assert list(restricted_growth_strings(n, max_groups, cap)) == want
+
+
+def test_restricted_growth_strings_walk_long_strings_without_recursion():
+    assert list(restricted_growth_strings(3000, 1, 3000)) == [(0,) * 3000]
+    assert list(restricted_growth_strings(3000, 1, 2999)) == []
 
 
 def test_balanced_partition_guard():

@@ -67,13 +67,6 @@ def test_eval_union_is_disjoint_even_for_shared_subtrees():
     assert lg.graph.n == 4 and lg.graph.m == 2
 
 
-def test_eval_label_out_of_range():
-    e = Join(1, 2, Union(Create(1), Create(2)))
-    with pytest.raises(ValueError):
-        eval_qexpr(e, q=1)
-    assert eval_qexpr(e, q=2).graph.m == 1
-
-
 def test_eval_names_follow_leaf_order():
     e = Union(Create(1, name="x"), Create(2, name="y"))
     lg = eval_qexpr(e)

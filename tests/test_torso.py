@@ -5,9 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from balcut.graph import Graph, connected_components, cycle_graph, path_graph, star_graph
+from balcut.graph import (
+    Graph,
+    adjacency_masks,
+    connected_components,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from balcut.torso import (
-    _adjacency_masks,
+    AnnotatedTorso,
     _unavoidable,
     _vertex_connectivity_at_least,
     atorso,
@@ -339,7 +346,7 @@ def test_separators_match_reference_on_showcase_and_sparse_random():
 
 
 def _unavoidable_on(g, path, blocked=()):
-    return _unavoidable(_adjacency_masks(g), path, sum(1 << v for v in blocked))
+    return _unavoidable(adjacency_masks(g), path, sum(1 << v for v in blocked))
 
 
 def test_unavoidable_component_touching_one_vertex():
@@ -480,6 +487,7 @@ def test_trimmer_tree_is_path_contraction():
 def test_trimmer_k0_is_terminal_atorso():
     g = random_connected_graph(8, 0.4, seed=2)
     tr = build_trimmer(g, 0, [1, 8])
+    assert isinstance(tr, AnnotatedTorso)
     assert tr.g_star == atorso(g, {1, 8}).g_prime
     assert tr.k == 0
     assert tr.terminals == frozenset({1, 8})
