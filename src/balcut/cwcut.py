@@ -34,10 +34,12 @@ from .qexpr import (
     QExpression,
     Union,
     eval_qexpr,
+    eval_walk,
     fold_qexpr,
     joins_are_full,
     normalize_qexpr,
     postorder,
+    top_label,
 )
 
 Vector = Tuple[int, ...]
@@ -264,11 +266,16 @@ def solve_bisection_cwd(
 ) -> Tuple[Bipartition, int]:
     """Optimal bisection of G using an expression for G minus the deletion set.
 
-    Normalizes and matches the expression once, then tries every split of
-    the deletion set, fills the root table only at the two admissible
-    A-side totals (they coincide for even n), and keeps the minimum cut,
-    breaking ties toward the lexicographically smallest A.  Edge weights
-    must all be 1.
+    Prepares the expression once, then tries every split of the deletion
+    set, fills the root table only at the two admissible A-side totals
+    (they coincide for even n), and keeps the minimum cut, breaking ties
+    toward the lexicographically smallest A.  Edge weights must all be 1.
+
+    Preparing takes one walk, whose list gives ``q``, and one replay, which
+    gives the labeled graph matched to G - D.  Only an expression that
+    normalization would change (never one from ``forest_qexpr``) is rebuilt
+    and walked again; its value and leaves are unchanged, so the match
+    stands.
 
     Once a candidate exists, a later split is filled only up to the best
     cut minus its internal cut, and skipped when its internal cut alone
@@ -281,12 +288,14 @@ def solve_bisection_cwd(
     d_set = frozenset(d_set)
     if not d_set <= frozenset(g.vertices):
         raise ValueError("deletion set contains unknown vertices")
-    phi = normalize_qexpr(phi)
-    corr = _match_expression(g, d_set, eval_qexpr(phi))
+    nodes = postorder(phi)  # one walk serves the replay and every split
+    lg, normal = eval_walk(nodes)
+    if not normal:
+        nodes = postorder(normalize_qexpr(phi))
+    corr = _match_expression(g, d_set, lg)
 
     n = g.n
-    q = phi.q
-    nodes = postorder(phi)  # one walk serves every split
+    q = top_label(nodes)
     d_sorted = sorted(d_set)
     d_edges = [(u, v) for u, v in g.edges() if u in d_set and v in d_set]
     best: Optional[Tuple[tuple, Bipartition, int]] = None

@@ -12,9 +12,14 @@ The rewrite only ever drops operators, never adds them.
 
 Every pass over an expression goes through one explicit-stack post-order
 walk (`postorder` / `fold_qexpr`), so nesting depth is bounded by memory,
-not by the interpreter's recursion limit.  The module also builds the
-3-expressions of forests (`forest_qexpr`) and picks the deletion set that
-leaves a forest (`greedy_deletion_set`).
+not by the interpreter's recursion limit; `eval_walk` (value and
+normal-form check, one replay) and `top_label` (``q``) read one such list.
+
+The module also builds the 3-expressions of forests (`forest_qexpr`) and
+picks the deletion set that leaves a forest (`greedy_deletion_set`).  Tree
+roots alternate between labels 2 and 3 by depth, so each tree edge costs
+three operators (Union, Join, Rename): a forest with N vertices in c trees
+gets 4N - 2c - 1 nodes, and every Join is full.
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ class QExpression:
     @property
     def q(self) -> int:
         """Number of labels in scope: the largest label any node uses."""
-        top = 0
-        for node in postorder(self):
-            if isinstance(node, Create):
-                top = max(top, node.label)
-            elif not isinstance(node, Union):
-                top = max(top, node.i, node.j)
-        return top
+        return top_label(postorder(self))
 
     def size(self) -> int:
         return len(postorder(self))
@@ -146,6 +145,18 @@ def fold_qexpr(
         del values[k:]
         values.append(visit(pos, node, kids))
     return values[0]
+
+
+def top_label(nodes: List[QExpression]) -> int:
+    """The largest label any of ``nodes`` uses: ``q`` of an expression,
+    read off its ``postorder`` list."""
+    top = 0
+    for node in nodes:
+        if isinstance(node, Create):
+            top = max(top, node.label)
+        elif not isinstance(node, Union):
+            top = max(top, node.i, node.j)
+    return top
 
 
 def _text(expr: QExpression) -> str:
@@ -254,17 +265,26 @@ def _replay(nodes: List[QExpression]) -> _Replay:
     return _Replay(classes, names, edges, dropped, full)
 
 
-def eval_qexpr(expr: QExpression) -> LabeledGraph:
-    """Evaluate to the labeled graph."""
-    r = _replay(postorder(expr))
+def eval_walk(nodes: List[QExpression]) -> Tuple[LabeledGraph, bool]:
+    """Evaluate an expression given as its ``postorder`` list, and say
+    whether it is already normal (``normalize_qexpr`` would return it
+    unchanged), from one replay.  Normalization keeps the Create leaves and
+    the value, so the labeled graph is also that of the normalized form."""
+    r = _replay(nodes)
     label_of = {v: label for label, verts in r.classes.items() for v in verts}
     n = len(r.names)
     g = Graph(n, sorted(r.edges))
-    return LabeledGraph(
+    lg = LabeledGraph(
         g,
         {v: label_of[v] for v in range(1, n + 1)},
         {v: name for v, name in enumerate(r.names, start=1)},
     )
+    return lg, not r.dropped
+
+
+def eval_qexpr(expr: QExpression) -> LabeledGraph:
+    """Evaluate to the labeled graph."""
+    return eval_walk(postorder(expr))[0]
 
 
 def normalize_qexpr(expr: QExpression) -> QExpression:
@@ -303,20 +323,24 @@ def joins_are_full(expr: QExpression) -> bool:
 
 def _tree_qexpr(g: Graph, root: int, keep: frozenset) -> QExpression:
     """3-expression of the tree of g[keep] that contains ``root``."""
-    # breadth-first, so every vertex comes after its parent
+    # breadth-first, so every vertex comes after its parent.  Invariant: a
+    # subtree root carries label 2 at even depth and 3 at odd depth, every
+    # other vertex label 1, so a child subtree is built with its root on the
+    # label its parent joins, and three operators per edge join and retire it
     kids: Dict[int, List[int]] = {}
     order = [root]
-    seen = {root}
+    label = {root: 2}
     for v in order:
-        kids[v] = [c for c in sorted(g.neighbors(v) & keep) if c not in seen]
-        seen.update(kids[v])
+        kids[v] = [c for c in sorted(g.neighbors(v) & keep) if c not in label]
+        for c in kids[v]:
+            label[c] = 5 - label[v]
         order.extend(kids[v])
-    # invariant: subtree root carries label 2, every other vertex label 1
     built: Dict[int, QExpression] = {}
     for v in reversed(order):
-        e: QExpression = Create(2, name=v)
+        r = label[v]
+        e: QExpression = Create(r, name=v)
         for c in kids[v]:
-            e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, built.pop(c)))))
+            e = Rename(5 - r, 1, Join(r, 5 - r, Union(e, built.pop(c))))
         built[v] = e
     return built[root]
 

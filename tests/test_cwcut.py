@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcut import cli
+from balcut import cli, qexpr
 from balcut.cwcut import _fill, _match_expression, cut_dp, solve_bisection_cwd
 from balcut.graph import (
     Bipartition,
     Graph,
     complete_graph,
+    connected_components,
     cut_size,
     cycle_graph,
     mask_members,
@@ -29,6 +30,7 @@ from balcut.qexpr import (
     family_qexpr,
     forest_qexpr,
     greedy_deletion_set,
+    joins_are_full,
     normalize_qexpr,
     postorder,
 )
@@ -403,3 +405,97 @@ def test_bisect_bytes_do_not_depend_on_the_deletion_set(tmp_path, capsys):
         argv = ["bisect", "--graph", str(path), "--deletion", ",".join(map(str, sorted(d)))]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want, (sorted(g.edges()), sorted(d))
+
+
+def four_operator_forest_qexpr(g, d_set):
+    """The forest expression as it was built before root labels alternated
+    by depth: every subtree root on label 2, moved to label 3 by a Rename of
+    its own before each join, four operators per tree edge."""
+    keep = frozenset(g.vertices) - frozenset(d_set)
+    expr = None
+    for comp in connected_components(g, within=keep):
+        root = min(comp)
+        kids, order, seen = {}, [root], {root}
+        for v in order:
+            kids[v] = [c for c in sorted(g.neighbors(v) & comp) if c not in seen]
+            seen.update(kids[v])
+            order.extend(kids[v])
+        built = {}
+        for v in reversed(order):
+            e = Create(2, name=v)
+            for c in kids[v]:
+                e = Rename(3, 1, Join(2, 3, Union(e, Rename(2, 3, built.pop(c)))))
+            built[v] = e
+        expr = built[root] if expr is None else Union(expr, built[root])
+    return expr
+
+
+def tree_with_disjoint_cycles(rng, n, cycles):
+    """A random tree on n vertices plus ``cycles`` edges, each closing a
+    cycle of at least three vertices that shares none with the others; a
+    tree with no room for them is drawn again."""
+    while True:
+        tree = random_tree(n, rng.randrange(10**6))
+        parent, depth, order = {1: None}, {1: 0}, [1]
+        for v in order:
+            for w in sorted(tree.neighbors(v) - parent.keys()):
+                parent[w], depth[w] = v, depth[v] + 1
+                order.append(w)
+        edges, used = set(tree.edges()), set()
+        for _ in range(20 * cycles):
+            u, v = rng.sample(range(1, n + 1), 2)
+            trail, a, b = set(), u, v
+            while a != b:  # climb to the lowest common ancestor
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                trail.add(a)
+                a = parent[a]
+            trail.add(a)
+            if len(trail) >= 3 and not trail & used:
+                used |= trail
+                edges.add((min(u, v), max(u, v)))
+                if len(edges) == n - 1 + cycles:
+                    return Graph(n, sorted(edges))
+
+
+def test_bisect_answer_does_not_depend_on_the_label_pattern():
+    """The three-operator forest expression and the four-operator one it
+    replaced give the same (cut, A) on trees with 1-4 disjoint cycles, with
+    n past the oracle's range; small n also against the oracles."""
+    rng = random.Random(23)
+    for i in range(60):
+        n = rng.randint(6, 14) if i % 4 == 0 else rng.randint(20, 80)
+        g = tree_with_disjoint_cycles(rng, n, rng.randint(1, min(4, n // 5)))
+        d = greedy_deletion_set(g)
+        phi, old = forest_qexpr(g, d), four_operator_forest_qexpr(g, d)
+        assert phi.size() < old.size()
+        bip, cut = solve_bisection_cwd(g, d, phi)
+        assert solve_bisection_cwd(g, d, old) == (bip, cut), (sorted(g.edges()), sorted(d))
+        if n <= 14:
+            assert cut == brute_bisection(g).optimum
+            assert (cut, tuple(sorted(bip.a))) == brute_least_bisection(g)
+
+
+def test_a_full_expression_is_replayed_once_per_solve(monkeypatch):
+    """Preparing a full expression takes one replay and no rebuild; one with
+    a doubled Join is rebuilt by normalization and answers as the
+    normalized expression does."""
+    replays, rebuilds = [], []
+    replay, normalize = qexpr._replay, qexpr.normalize_qexpr
+    monkeypatch.setattr(qexpr, "_replay", lambda nodes: replays.append(1) or replay(nodes))
+    monkeypatch.setattr(
+        "balcut.cwcut.normalize_qexpr", lambda e: rebuilds.append(1) or normalize(e)
+    )
+    g = cycle_graph(31)
+    d = greedy_deletion_set(g)
+    phi = forest_qexpr(g, d)  # one path: Rename(Join(Union(...)))
+    want = solve_bisection_cwd(g, d, phi)
+    assert (len(replays), len(rebuilds)) == (1, 0)
+
+    # join the pair of the path's first edge a second time
+    doubled = Rename(phi.i, phi.j, Join(phi.child.i, phi.child.j, phi.child))
+    assert not joins_are_full(doubled)
+    replays.clear()
+    assert solve_bisection_cwd(g, d, doubled) == want
+    assert (len(replays), len(rebuilds)) == (2, 1)  # the rebuild replays again
+    assert solve_bisection_cwd(g, d, normalize(doubled)) == want

@@ -7,18 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balcut.formats import emit_qexpr, parse_qexpr
-from balcut.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from balcut.graph import (
+    Graph,
+    complete_graph,
+    connected_components,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from balcut.qexpr import (
     Create,
     Join,
     Rename,
     Union,
     eval_qexpr,
+    eval_walk,
     family_qexpr,
     forest_qexpr,
     greedy_deletion_set,
     joins_are_full,
     normalize_qexpr,
+    postorder,
 )
 
 from .conftest import random_graph, random_tree
@@ -165,6 +174,8 @@ def test_normalize_properties_random(seed, q, leaves):
     assert before.graph == after.graph
     assert before.labels == after.labels
     assert normalize_qexpr(norm) == norm
+    # the one-replay evaluation solve_bisection_cwd prepares with
+    assert eval_walk(postorder(expr)) == (before, norm is expr)
 
 
 # -- families -------------------------------------------------------------------
@@ -247,14 +258,43 @@ def test_forest_qexpr_rejects_cycles_and_empty_remainders():
     assert emit_qexpr(forest_qexpr(cycle_graph(4), {4})) == emit_qexpr(family_qexpr("tree", path_graph(3)))
 
 
+def test_forest_expression_has_three_operators_per_edge():
+    """A forest with N vertices in c trees gets N Creates, three operators
+    per tree edge and c - 1 Unions between trees: 4N - 2c - 1 nodes, leaves
+    labeled 2 or 3 by depth, q = 3 and every Join full, so normalization
+    returns the expression itself."""
+    rng = random.Random(23)
+    seen_isolated = seen_many_trees = 0
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        # a random tree with some edges dropped, plus up to 3 isolated vertices
+        edges = [e for e in random_tree(n, rng.randrange(10**6)).edges() if rng.random() > 0.3]
+        edges = edges or [(1, 2)]
+        g = Graph(n + rng.randint(0, 3), edges)
+        c = len(connected_components(g))
+        phi = forest_qexpr(g)
+        nodes = postorder(phi)
+        assert len(nodes) == 4 * g.n - 2 * c - 1
+        assert {node.label for node in nodes if isinstance(node, Create)} <= {2, 3}
+        assert phi.q == 3
+        assert joins_are_full(phi)
+        assert normalize_qexpr(phi) is phi
+        lg = eval_qexpr(phi)
+        named = sorted(tuple(sorted((lg.names[u], lg.names[w]))) for u, w in lg.graph.edges())
+        assert named == g.edges()
+        seen_isolated += any(not g.neighbors(v) for v in g.vertices)
+        seen_many_trees += c > 1
+    assert seen_isolated >= 20 and seen_many_trees >= 40
+
+
 def test_deep_expression_passes_need_no_recursion():
-    # the path rooted at an end nests 4 operators per vertex, far beyond the
+    # the path rooted at an end nests 3 operators per vertex, far beyond the
     # interpreter's recursion limit; equality is compared on text because
     # dataclass equality recurses
     g = path_graph(2000)
     e = forest_qexpr(g)
     assert e.q == 3
-    assert e.size() == 1 + 5 * 1999
+    assert e.size() == 1 + 4 * 1999
     lg = eval_qexpr(e)
     assert lg.graph == g
     assert lg.names == {v: v for v in g.vertices}
