@@ -27,7 +27,7 @@ from .oracle import (
     brute_maxcut,
     brute_vertex_bisection,
 )
-from .qexpr import eval_qexpr, family_qexpr
+from .qexpr import clique_qexpr, eval_qexpr
 from .reductions import (
     ChoiceGadget,
     ReductionOutput,
@@ -67,7 +67,7 @@ __all__ = [
     "build_trimmer",
     "minimal_st_separators",
     "eval_qexpr",
-    "family_qexpr",
+    "clique_qexpr",
     "OracleResult",
     "OracleSizeError",
     "brute_bisection",

@@ -119,9 +119,18 @@ def _solution_text(kind: str, value: int, witness) -> str:
     return formats.emit_solution(formats.Solution(kind, value, parts))
 
 
+def _check_dot(g: Graph, path: Optional[str]) -> None:
+    """Refuse --dot for a graph too large to draw; solvers call this before
+    they solve, so no answer is lost to it."""
+    if path and g.n > DOT_LIMIT:
+        raise InputError(
+            f"dot export is limited to graphs with at most {DOT_LIMIT} vertices"
+            f" (this one has {g.n}); run without --dot"
+        )
+
+
 def _emit_dot(g: Graph, path: str) -> None:
-    if g.n > DOT_LIMIT:
-        raise InputError(f"dot export is limited to graphs with at most {DOT_LIMIT} vertices")
+    _check_dot(g, path)
     lines = ["graph G {"]
     isolated = set(g.vertices)
     for u, v in g.edges():
@@ -149,6 +158,7 @@ def _useful_parts(g: Graph, d: int) -> int:
 
 def _cmd_bisect(args) -> int:
     g = _load_graph(args.graph)
+    _check_dot(g, args.dot)
     if not g.is_unit_vertex_weighted():
         raise InputError("bisect balances vertex counts; the graph must not carry vertex weights")
     if g.n == 0:
@@ -174,6 +184,7 @@ def _cmd_bisect(args) -> int:
 
 def _cmd_vbisect(args) -> int:
     g = _load_graph(args.graph)
+    _check_dot(g, args.dot)
     if args.k < 0:
         raise InputError("--k must be non-negative")
     if args.c < 2:
@@ -197,6 +208,7 @@ def _cmd_vbisect(args) -> int:
 
 def _cmd_bpart(args) -> int:
     g = _load_graph(args.graph)
+    _check_dot(g, args.dot)
     if not g.is_unit_vertex_weighted():
         raise InputError("bpart balances vertex counts; the graph must not carry vertex weights")
     if args.d < 1:

@@ -37,9 +37,9 @@ from .qexpr import (
     eval_walk,
     fold_qexpr,
     joins_are_full,
+    node_labels,
     normalize_qexpr,
     postorder,
-    top_label,
 )
 
 Vector = Tuple[int, ...]
@@ -157,7 +157,7 @@ def cut_dp(
             "expression has a non-full join; run normalize_qexpr on it first"
         )
     corr = _match_expression(g, d_set, eval_qexpr(phi))
-    counts, root = _fill(g, a0, b0, postorder(phi), phi.q, corr)
+    counts, root = _fill(g, a0, b0, postorder(phi), range(1, phi.q + 1), corr)
     return counts, {
         a: (value, frozenset(mask_members(mask))) for a, (value, mask) in root.items()
     }
@@ -168,7 +168,7 @@ def _fill(
     a0: FrozenSet[int],
     b0: FrozenSet[int],
     nodes: List[QExpression],
-    q: int,
+    labels: Iterable[int],
     corr: Dict[int, int],
     lo: int = 0,
     hi: Optional[int] = None,
@@ -176,9 +176,11 @@ def _fill(
 ) -> Tuple[Vector, Dict[Vector, Tuple[int, int]]]:
     """The root's label counts and its map from A-side count vectors to
     (cut, A-side bitmask over G's vertex ids), for the split (a0, b0) of
-    the deletion set and a ``q``-label expression, given as its
-    ``postorder`` list, whose joins are all full and whose vertices
-    ``corr`` maps onto G minus the deletion set; the callers check both.
+    the deletion set and an expression, given as its ``postorder`` list,
+    whose joins are all full and whose vertices ``corr`` maps onto G minus
+    the deletion set; the callers check both.  A count vector holds one
+    count per entry of ``labels``, which must list every label a node
+    names: a label no node names gets no field, however large it is.
 
     Only root entries with between ``lo`` and ``hi`` A-side vertices and a
     value of at most ``value_max`` are kept, and no entry that cannot lead
@@ -191,14 +193,14 @@ def _fill(
     holds the same witness as in the unbounded table.
     """
     # A count vector packs into one int, label l's count in bits
-    # [shift[l-1], shift[l-1] + width); no count exceeds the vertex total, so
+    # [shift[l], shift[l] + width); no count exceeds the vertex total, so
     # adding vectors never carries between fields.
     total = len(corr)
     hi = total if hi is None else hi
     value_max = g.m if value_max is None else value_max  # no cut exceeds |E|
     width = total.bit_length()
     ones = (1 << width) - 1
-    shift = [width * label for label in range(q)]
+    shift = {label: width * k for k, label in enumerate(labels)}
     vid = 0
 
     def visit(pos, node, kids):
@@ -207,7 +209,7 @@ def _fill(
         if isinstance(node, Create):
             vid += 1
             gv = corr[vid]
-            one = 1 << shift[node.label - 1]
+            one = 1 << shift[node.label]
             table: dict = {}
             into_a = len(g.neighbors(gv) & b0)
             into_b = len(g.neighbors(gv) & a0)
@@ -238,7 +240,7 @@ def _fill(
                         _put(table, a1 + a2, v1 + v2, s1 | s2)
             return c1 + c2, m1 + m2, table
         ((counts, m, child),) = kids
-        si, sj = shift[node.i - 1], shift[node.j - 1]
+        si, sj = shift[node.i], shift[node.j]
         table = {}
         if isinstance(node, Join):
             ci, cj = (counts >> si) & ones, (counts >> sj) & ones
@@ -256,7 +258,7 @@ def _fill(
     counts, _, root = fold_qexpr(nodes, visit)
 
     def unpack(packed: int) -> Vector:
-        return tuple((packed >> s) & ones for s in shift)
+        return tuple((packed >> s) & ones for s in shift.values())
 
     return unpack(counts), {unpack(a): entry for a, entry in root.items()}
 
@@ -271,11 +273,11 @@ def solve_bisection_cwd(
     (they coincide for even n), and keeps the minimum cut, breaking ties
     toward the lexicographically smallest A.  Edge weights must all be 1.
 
-    Preparing takes one walk, whose list gives ``q``, and one replay, which
-    gives the labeled graph matched to G - D.  Only an expression that
-    normalization would change (never one from ``forest_qexpr``) is rebuilt
-    and walked again; its value and leaves are unchanged, so the match
-    stands.
+    Preparing takes one walk, whose list gives the labels in use, and one
+    replay, which gives the labeled graph matched to G - D.  Only an
+    expression that normalization would change (never one from
+    ``forest_qexpr``) is rebuilt and walked again; its value and leaves are
+    unchanged, so the match stands.
 
     Once a candidate exists, a later split is filled only up to the best
     cut minus its internal cut, and skipped when its internal cut alone
@@ -295,7 +297,7 @@ def solve_bisection_cwd(
     corr = _match_expression(g, d_set, lg)
 
     n = g.n
-    q = top_label(nodes)
+    labels = node_labels(nodes)
     d_sorted = sorted(d_set)
     d_edges = [(u, v) for u, v in g.edges() if u in d_set and v in d_set]
     best: Optional[Tuple[tuple, Bipartition, int]] = None
@@ -306,7 +308,7 @@ def solve_bisection_cwd(
         if hi < 0 or lo > len(corr) or (best is not None and internal > best[2]):
             continue
         value_max = None if best is None else best[2] - internal
-        _, root = _fill(g, a0, d_set - a0, nodes, q, corr, lo, hi, value_max)
+        _, root = _fill(g, a0, d_set - a0, nodes, labels, corr, lo, hi, value_max)
         for value, mask in root.values():
             cut = internal + value
             a = a0 | frozenset(mask_members(mask))

@@ -10,24 +10,28 @@ Normalization keeps the value while making every surviving Join *full*: at
 the moment it is applied, no edge between its two label classes exists yet.
 The rewrite only ever drops operators, never adds them.
 
-Every pass over an expression goes through one explicit-stack post-order
-walk (`postorder` / `fold_qexpr`), so nesting depth is bounded by memory,
-not by the interpreter's recursion limit; `eval_walk` (value and
-normal-form check, one replay) and `top_label` (``q``) read one such list.
+Every pass over an expression, equality and hashing included, goes
+through one explicit-stack post-order walk (`postorder` / `fold_qexpr`), so
+nesting depth is bounded by memory, not by the interpreter's recursion
+limit; `eval_walk` (value and normal-form check, one replay) and
+`node_labels` (the labels in use, hence ``q``) read one such list.  Two
+expressions are equal when their concrete syntax is: structure and labels
+count, Create names do not.
 
-The module also builds the 3-expressions of forests (`forest_qexpr`) and
-picks the deletion set that leaves a forest (`greedy_deletion_set`).  Tree
-roots alternate between labels 2 and 3 by depth, so each tree edge costs
-three operators (Union, Join, Rename): a forest with N vertices in c trees
-gets 4N - 2c - 1 nodes, and every Join is full.
+Two builders give expressions of known cliquewidth: `forest_qexpr`, the
+3-expression of any forest (of a graph minus a deletion set, which
+`greedy_deletion_set` picks), and `clique_qexpr`, the 2-expression of a
+clique.  Tree roots alternate between labels 2 and 3 by depth, so each tree
+edge costs three operators (Union, Join, Rename): a forest with N vertices
+in c trees gets 4N - 2c - 1 nodes, and every Join is full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph, connected_components, path_graph
+from .graph import Graph, connected_components
 
 
 class QExpression:
@@ -39,7 +43,7 @@ class QExpression:
     @property
     def q(self) -> int:
         """Number of labels in scope: the largest label any node uses."""
-        return top_label(postorder(self))
+        return node_labels(postorder(self))[-1]
 
     def size(self) -> int:
         return len(postorder(self))
@@ -47,13 +51,21 @@ class QExpression:
     def __repr__(self) -> str:
         return _text(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QExpression):
+            return NotImplemented
+        return self is other or _text(self) == _text(other)
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        return hash(_text(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Create(QExpression):
     """A single fresh vertex with the given label (the •_i operator)."""
 
     label: int
-    name: object = field(default=None, compare=False)
+    name: object = None
 
     def __post_init__(self):
         if self.label < 1:
@@ -63,7 +75,7 @@ class Create(QExpression):
         return ()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(QExpression):
     """Disjoint union of two expressions."""
 
@@ -81,7 +93,7 @@ def _check_label_pair(i: int, j: int):
         raise ValueError(f"the two labels must differ, got ({i},{j})")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(QExpression):
     """Add every edge between label-i and label-j vertices."""
 
@@ -96,7 +108,7 @@ class Join(QExpression):
         return (self.child,)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Rename(QExpression):
     """Give every label-i vertex label j instead."""
 
@@ -147,16 +159,16 @@ def fold_qexpr(
     return values[0]
 
 
-def top_label(nodes: List[QExpression]) -> int:
-    """The largest label any of ``nodes`` uses: ``q`` of an expression,
-    read off its ``postorder`` list."""
-    top = 0
+def node_labels(nodes: List[QExpression]) -> List[int]:
+    """The labels any of ``nodes`` names, in increasing order, read off an
+    expression's ``postorder`` list; the last is its ``q``."""
+    used = set()
     for node in nodes:
         if isinstance(node, Create):
-            top = max(top, node.label)
+            used.add(node.label)
         elif not isinstance(node, Union):
-            top = max(top, node.i, node.j)
-    return top
+            used.update((node.i, node.j))
+    return sorted(used)
 
 
 def _text(expr: QExpression) -> str:
@@ -318,7 +330,7 @@ def joins_are_full(expr: QExpression) -> bool:
     return _replay(postorder(expr)).full
 
 
-# -- forests: expressions and deletion sets --------------------------------------
+# -- builders: forests, deletion sets, cliques ---------------------------------
 
 
 def _tree_qexpr(g: Graph, root: int, keep: frozenset) -> QExpression:
@@ -419,10 +431,9 @@ def greedy_deletion_set(g: Graph) -> List[int]:
         removed.add(best)
 
 
-# -- builders for families of known cliquewidth ----------------------------
-
-
-def _clique_expr(n: int) -> QExpression:
+def clique_qexpr(n: int) -> QExpression:
+    """A 2-expression for the clique on 1..n, its Create leaves named with
+    the vertex ids."""
     if n < 1:
         raise ValueError("clique size must be >= 1")
     e: QExpression = Create(1, name=1)
@@ -431,27 +442,3 @@ def _clique_expr(n: int) -> QExpression:
             e = Rename(2, 1, e)
         e = Join(1, 2, Union(e, Create(2, name=k)))
     return e
-
-
-def family_qexpr(kind: str, spec) -> QExpression:
-    """Ready-made expressions: 'clique' and 'path' take n, 'tree' takes a
-    tree Graph (optionally (Graph, root)).  Create leaves are named with the
-    intended vertex so callers can match expression vertices to graph ones."""
-    if kind == "clique":
-        return _clique_expr(int(spec))
-    if kind == "path":
-        n = int(spec)
-        if n < 1:
-            raise ValueError("path length must be >= 1")
-        return _tree_qexpr(path_graph(n), 1, frozenset(range(1, n + 1)))
-    if kind == "tree":
-        tree, root = spec if isinstance(spec, tuple) else (spec, None)
-        if tree.n < 1:
-            raise ValueError("tree must have at least one vertex")
-        if tree.m != tree.n - 1 or len(connected_components(tree)) != 1:
-            raise ValueError("not a tree (need connected with n-1 edges)")
-        root = min(tree.vertices) if root is None else root
-        if root not in tree.vertices:
-            raise ValueError(f"root {root} is not a vertex of the tree")
-        return _tree_qexpr(tree, root, frozenset(tree.vertices))
-    raise ValueError(f"unknown family {kind!r} (want clique, path or tree)")

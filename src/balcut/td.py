@@ -276,6 +276,9 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
     full = (1 << n) - 1
     best = [0] * (full + 1)
     best[0] = -1
+    # the smallest vertex attaining best[s] as the last one of s eliminated:
+    # the scan goes low bit first and keeps only a strictly better choice
+    last = [0] * (full + 1)
     for s in range(1, full + 1):
         val = n  # upper bound; any real choice is <= n-1
         rest = s
@@ -288,27 +291,16 @@ def exact_treewidth_small(g: Graph) -> Tuple[int, TreeDecomposition]:
             cand = best[prev] if best[prev] > deg else deg
             if cand < val:
                 val = cand
+                last[s] = v
         best[s] = val
 
-    width = best[full]
-
-    # walk the table back to a concrete elimination order (smallest vertex
-    # that attains the optimum at each step, for determinism)
+    # walk the table back to a concrete elimination order
     rev: List[int] = []
     s = full
     while s:
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()
-            prev = s ^ low
-            deg = reach_outside(prev, v).bit_count()
-            if max(best[prev], deg) == best[s]:
-                rev.append(v)
-                s = prev
-                break
-    return width, _elimination_decomposition(g, rev[::-1])
+        rev.append(last[s])
+        s ^= 1 << (last[s] - 1)
+    return best[full], _elimination_decomposition(g, rev[::-1])
 
 
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:

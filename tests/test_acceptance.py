@@ -33,7 +33,7 @@ from balcut.oracle import (
     brute_maxcut,
     brute_vertex_bisection,
 )
-from balcut.qexpr import family_qexpr, forest_qexpr
+from balcut.qexpr import forest_qexpr
 from balcut.reductions import (
     binpacking_to_forest,
     bisect_to_vbisect,
@@ -86,7 +86,7 @@ def test_cw_expression_dp_matches_bisection_oracle():
     shapes = 0
     for n in range(2, 11):
         for t in free_trees(n):
-            bip, cut = solve_bisection_cwd(t, frozenset(), family_qexpr("tree", t))
+            bip, cut = solve_bisection_cwd(t, frozenset(), forest_qexpr(t))
             assert validate_bisection(t, bip, cut)
             assert cut == brute_bisection(t).optimum, sorted(t.edges())
             shapes += 1

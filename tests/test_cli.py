@@ -12,7 +12,7 @@ import pytest
 
 from balcut import cli, formats
 from balcut.graph import Graph, path_graph
-from balcut.qexpr import family_qexpr, forest_qexpr
+from balcut.qexpr import forest_qexpr
 
 from .conftest import grid_graph
 
@@ -165,7 +165,7 @@ def test_bisect_expression_file_beyond_the_search_limit(tmp_path, capsys):
     gf = tmp_path / "p12.gr"
     gf.write_text("p tw 12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 12)))
     ef = tmp_path / "p12.qe"
-    ef.write_text(formats.emit_qexpr(family_qexpr("path", 12)) + "\n")
+    ef.write_text(formats.emit_qexpr(forest_qexpr(path_graph(12))) + "\n")
     code, out, err = run_cli(capsys, "bisect", "--graph", str(gf), "--expr", str(ef))
     assert code == 2
     assert out == ""
@@ -174,6 +174,26 @@ def test_bisect_expression_file_beyond_the_search_limit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bisect", "--graph", str(gf))
     assert code == 0
     assert out.splitlines()[0] == "cut 1"
+
+
+def test_bisect_expression_with_sparse_labels(tmp_path):
+    # the DP packs a field per label in use, not per label up to the largest;
+    # run under a 1 GB address-space limit so a dense packing fails cleanly
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+    cases = [
+        ("p tw 1 0\n", "v(100000000)\n", "cut 0"),
+        ("p tw 2 1\n1 2\n", "join(1,1000000,union(v(1),v(1000000)))\n", "cut 1"),
+    ]
+    for graph, expr, want in cases:
+        gf, ef = tmp_path / "g.gr", tmp_path / "e.qe"
+        gf.write_text(graph)
+        ef.write_text(expr)
+        got = subprocess.run(
+            [sys.executable, "-c", f"{limit}; from balcut.cli import main; raise SystemExit(main())",
+             "bisect", "--graph", str(gf), "--expr", str(ef)],
+            capture_output=True, text=True,
+        )
+        assert (got.returncode, got.stdout.splitlines()[:1]) == (0, [want]), got.stderr
 
 
 def test_bisect_rejects_weighted_graphs(tmp_path, capsys):
@@ -517,6 +537,23 @@ def test_dot_export_refuses_large_graphs(tmp_path, capsys):
     )
     assert code == 2
     assert "at most 64" in err
+
+
+@pytest.mark.parametrize("argv", [["bisect"], ["vbisect", "--k", "1"], ["bpart", "--d", "2"]])
+def test_dot_limit_is_checked_before_solving(tmp_path, capsys, monkeypatch, argv):
+    gf = tmp_path / "p65.gr"
+    gf.write_text(formats.emit_graph(path_graph(65)))
+    dot = tmp_path / "g.dot"
+
+    def no_solve(*args):
+        raise AssertionError("solver ran before the --dot check")
+
+    for name in ("solve_bisection_cwd", "solve_vertex_bisection", "solve_balanced_partition_vc"):
+        monkeypatch.setattr(cli, name, no_solve)
+    code, out, err = run_cli(capsys, argv[0], "--graph", str(gf), *argv[1:], "--dot", str(dot))
+    assert (code, out) == (2, "")
+    assert "at most 64" in err and "(this one has 65)" in err and "without --dot" in err
+    assert not dot.exists()
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from balcut.qexpr import (
     Join,
     Rename,
     Union,
+    clique_qexpr,
     eval_qexpr,
-    family_qexpr,
     forest_qexpr,
     greedy_deletion_set,
     joins_are_full,
@@ -85,7 +85,7 @@ def test_cut_dp_leaves_edges_inside_deletion_set_uncharged():
 
 def test_k3_root_values():
     k3 = complete_graph(3)
-    counts, table = cut_dp(k3, (), (), family_qexpr("clique", 3))
+    counts, table = cut_dp(k3, (), (), clique_qexpr(3))
     assert counts == (2, 1)
     assert table[(2, 1)] == (0, frozenset({1, 2, 3}))
     assert table[(1, 0)][0] == 2
@@ -103,7 +103,7 @@ def test_cut_dp_rejects_non_full_join():
 
 
 def test_cut_dp_rejects_wrong_graph():
-    phi = family_qexpr("path", 3)
+    phi = forest_qexpr(path_graph(3))
     with pytest.raises(ValueError):
         cut_dp(path_graph(4), (), (), phi)
     # names hit the right vertices but the edges disagree
@@ -115,7 +115,7 @@ def test_cut_dp_rejects_wrong_graph():
 def test_cut_dp_split_must_match_deletion_set():
     # the expression covers all of the path, so no vertex may be deleted
     with pytest.raises(ValueError, match="minus the deletion set"):
-        cut_dp(path_graph(3), {1}, (), family_qexpr("path", 3))
+        cut_dp(path_graph(3), {1}, (), forest_qexpr(path_graph(3)))
 
 
 def test_unnamed_leaves_use_isomorphism_search():
@@ -206,7 +206,8 @@ def test_bounded_table_is_the_unbounded_one_restricted():
         value_max = rng.choice([None, rng.randint(0, g.m)])
         bound = g.m if value_max is None else value_max
         corr = _match_expression(g, d, eval_qexpr(phi))
-        got_counts, got = _fill(g, a0, d - a0, postorder(phi), phi.q, corr, lo, hi, value_max)
+        labels = range(1, phi.q + 1)
+        got_counts, got = _fill(g, a0, d - a0, postorder(phi), labels, corr, lo, hi, value_max)
         assert (got_counts, {
             a: (value, frozenset(mask_members(mask))) for a, (value, mask) in got.items()
         }) == (
@@ -221,13 +222,13 @@ def test_bounded_table_is_the_unbounded_one_restricted():
 def test_edge_weights_rejected_at_entry():
     g = Graph(4, [(1, 2), (2, 3), (3, 4)], edge_weights={(2, 3): 5})
     with pytest.raises(ValueError, match="edge weight"):
-        solve_bisection_cwd(g, set(), family_qexpr("path", 4))
+        solve_bisection_cwd(g, set(), forest_qexpr(path_graph(4)))
     with pytest.raises(ValueError, match="edge weight"):
-        cut_dp(g, (), (), family_qexpr("path", 4))
+        cut_dp(g, (), (), forest_qexpr(path_graph(4)))
 
 
 def test_cycle_with_deleted_vertex():
-    bip, cut = solve_bisection_cwd(cycle_graph(5), {5}, family_qexpr("path", 4))
+    bip, cut = solve_bisection_cwd(cycle_graph(5), {5}, forest_qexpr(path_graph(4)))
     assert cut == 2
     assert cut_size(cycle_graph(5), bip) == 2
 
@@ -240,14 +241,14 @@ def test_k4_almost_all_deleted():
 
 def test_two_triangles_split_cleanly():
     g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    phi = Union(family_qexpr("clique", 3), family_qexpr("clique", 3))
+    phi = Union(clique_qexpr(3), clique_qexpr(3))
     bip, cut = solve_bisection_cwd(g, set(), phi)
     assert cut == 0
     assert bip.a in (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
 
 
 def test_path_tie_breaks_to_lexicographic_a():
-    bip, cut = solve_bisection_cwd(path_graph(4), set(), family_qexpr("path", 4))
+    bip, cut = solve_bisection_cwd(path_graph(4), set(), forest_qexpr(path_graph(4)))
     assert cut == 1
     assert bip.a == frozenset({1, 2})
 
@@ -276,7 +277,7 @@ def test_driver_deterministic():
 @given(st.integers(2, 10), st.integers(0, 10**6))
 def test_trees_match_oracle(n, seed):
     t = random_tree(n, seed)
-    bip, cut = solve_bisection_cwd(t, set(), family_qexpr("tree", t))
+    bip, cut = solve_bisection_cwd(t, set(), forest_qexpr(t))
     assert cut == brute_bisection(t).optimum
     assert cut_size(t, bip) == cut
 
@@ -321,7 +322,8 @@ def family_plus_deletions(rng, kind, m, extra):
     edges = set(base.edges())
     for v in range(m + 1, n + 1):
         edges |= {(u, v) for u in range(1, v) if rng.random() < 0.4}
-    return Graph(n, sorted(edges)), frozenset(range(m + 1, n + 1)), family_qexpr(kind, m)
+    phi = clique_qexpr(m) if kind == "clique" else forest_qexpr(base)
+    return Graph(n, sorted(edges)), frozenset(range(m + 1, n + 1)), phi
 
 
 def test_driver_matches_every_split_reference():

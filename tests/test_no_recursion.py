@@ -8,6 +8,8 @@ cursor, and no recursion is allowed.
 import ast
 from pathlib import Path
 
+from balcut.qexpr import Create, Join, QExpression, Rename, Union
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "balcut"
 
 ALLOWED = set()
@@ -64,3 +66,11 @@ def test_the_checker_sees_a_self_call(tmp_path):
         "        return self.walk()\n"
     )
     assert sorted(self_calling_functions(src)) == ["m.C.walk", "m.outer.build"]
+
+
+def test_expression_nodes_compare_through_the_walker():
+    # a generated dataclass __eq__ or __hash__ recurses through the fields,
+    # out of sight of the AST check above
+    for cls in (Create, Union, Join, Rename):
+        assert cls.__eq__ is QExpression.__eq__, cls.__name__
+        assert cls.__hash__ is QExpression.__hash__, cls.__name__

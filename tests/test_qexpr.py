@@ -1,4 +1,4 @@
-"""Labeled-graph expressions: evaluation, normalization, family builders."""
+"""Labeled-graph expressions: evaluation, normalization, equality, builders."""
 
 import random
 
@@ -20,9 +20,9 @@ from balcut.qexpr import (
     Join,
     Rename,
     Union,
+    clique_qexpr,
     eval_qexpr,
     eval_walk,
-    family_qexpr,
     forest_qexpr,
     greedy_deletion_set,
     joins_are_full,
@@ -182,12 +182,12 @@ def test_normalize_properties_random(seed, q, leaves):
 
 
 def test_family_clique_matches_spec_expression():
-    assert family_qexpr("clique", 3) == k3_expr()
+    assert clique_qexpr(3) == k3_expr()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_family_clique(n):
-    e = family_qexpr("clique", n)
+    e = clique_qexpr(n)
     assert e.q <= 2
     assert eval_qexpr(e).graph == complete_graph(n)
     assert joins_are_full(e)
@@ -195,14 +195,14 @@ def test_family_clique(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_family_path(n):
-    e = family_qexpr("path", n)
+    e = forest_qexpr(path_graph(n))
     assert e.q <= 3
     assert eval_qexpr(e).graph == path_graph(n)
     assert joins_are_full(e)
 
 
 def test_family_star():
-    e = family_qexpr("tree", star_graph(3))
+    e = forest_qexpr(star_graph(3))
     assert e.q <= 3
     lg = eval_qexpr(e)
     remap = {v: lg.names[v] for v in lg.graph.vertices}
@@ -213,7 +213,7 @@ def test_family_star():
 @pytest.mark.parametrize("seed", range(12))
 def test_family_random_trees(seed):
     t = random_tree(seed % 9 + 2, seed)
-    e = family_qexpr("tree", t)
+    e = forest_qexpr(t)
     assert e.q <= 3
     lg = eval_qexpr(e)
     remap = {v: lg.names[v] for v in lg.graph.vertices}
@@ -223,17 +223,8 @@ def test_family_random_trees(seed):
 
 
 def test_family_tree_rejects_non_tree():
-    with pytest.raises(ValueError):
-        family_qexpr("tree", Graph(3, [(1, 2), (2, 3), (1, 3)]))
-    with pytest.raises(ValueError):
-        family_qexpr("tree", Graph(4, [(1, 2), (3, 4)]))
-    with pytest.raises(ValueError):
-        family_qexpr("tree", (path_graph(3), 4))
-
-
-def test_family_unknown_kind():
-    with pytest.raises(ValueError):
-        family_qexpr("wheel", 5)
+    with pytest.raises(ValueError, match="not a forest"):
+        forest_qexpr(Graph(3, [(1, 2), (2, 3), (1, 3)]))
 
 
 # -- forests and deletion sets ----------------------------------------------------
@@ -255,7 +246,7 @@ def test_forest_qexpr_rejects_cycles_and_empty_remainders():
         forest_qexpr(cycle_graph(4))
     with pytest.raises(ValueError, match="leaves no vertices"):
         forest_qexpr(path_graph(2), {1, 2})
-    assert emit_qexpr(forest_qexpr(cycle_graph(4), {4})) == emit_qexpr(family_qexpr("tree", path_graph(3)))
+    assert forest_qexpr(cycle_graph(4), {4}) == forest_qexpr(path_graph(3))
 
 
 def test_forest_expression_has_three_operators_per_edge():
@@ -289,8 +280,7 @@ def test_forest_expression_has_three_operators_per_edge():
 
 def test_deep_expression_passes_need_no_recursion():
     # the path rooted at an end nests 3 operators per vertex, far beyond the
-    # interpreter's recursion limit; equality is compared on text because
-    # dataclass equality recurses
+    # interpreter's recursion limit
     g = path_graph(2000)
     e = forest_qexpr(g)
     assert e.q == 3
@@ -299,6 +289,31 @@ def test_deep_expression_passes_need_no_recursion():
     assert lg.graph == g
     assert lg.names == {v: v for v in g.vertices}
     assert joins_are_full(e)
-    text = emit_qexpr(e)
-    assert emit_qexpr(normalize_qexpr(e)) == text
-    assert emit_qexpr(parse_qexpr(text)) == text
+    assert normalize_qexpr(e) == e
+    assert parse_qexpr(emit_qexpr(e)) == e
+
+
+def test_equality_and_hashing_walk_deep_expressions():
+    """Equality and hashing go through the walker, as every other pass
+    does: structure and labels count, Create names do not."""
+    e, again = forest_qexpr(path_graph(5000)), forest_qexpr(path_graph(5000))
+    assert e is not again
+    assert e == again and not e != again
+    assert hash(e) == hash(again)
+    assert repr(e) == emit_qexpr(again)
+    assert e.size() == 1 + 4 * 4999 and e.q == 3
+    assert normalize_qexpr(e) is e
+    assert eval_qexpr(e).graph == path_graph(5000)
+    text = repr(e)
+    unnamed = parse_qexpr(text)
+    assert unnamed == e and hash(unnamed) == hash(e)
+    # the deepest leaf (vertex 5000, label 3) relabeled
+    head, _, tail = text.rpartition("v(3)")
+    relabeled = parse_qexpr(head + "v(2)" + tail)
+    assert relabeled != e and not relabeled == e
+    assert Create(1, name=3) == Create(1) and hash(Create(1, name=3)) == hash(Create(1))
+    assert Create(1) != Create(2)
+    assert Join(1, 2, Create(1)) != Rename(1, 2, Create(1))
+    assert Union(Create(1), Create(2)) != Union(Create(2), Create(1))
+    assert Create(1) != "v(1)"
+    assert len({e, again, unnamed, relabeled}) == 2
